@@ -29,6 +29,7 @@ from .curves import CurveDatum
 from .exactalg import (
     InexactDivision,
     IntPolynomial,
+    InvariantError,
     SymbolicPolynomial,
     poly_gcd,
     to_int_poly,
@@ -152,8 +153,8 @@ def class_sum(spec, curve: CurveDatum) -> Fraction:
             motive = sl_centralizer_motive(t)
             if _vanishes_at_one(motive.frobenius_det()):
                 continue
-            # only single-block types survive the t = 1 vanishing filter
-            assert len(t.pairs) == 1
+            if len(t.pairs) != 1:
+                raise InvariantError("a multi-block type survived the t = 1 vanishing filter")
             total += count_sl(size, t.pairs[0][0], q) * l_value(motive, curve)
     elif kind == "Sp":
         if size % 2:
@@ -166,13 +167,6 @@ def class_sum(spec, curve: CurveDatum) -> Fraction:
     else:
         raise ValueError(f"class sums are implemented for SL and Sp, not {kind}")
     return total
-
-
-def verify_sum_identity(spec, q: int) -> bool:
-    """True iff the class sum over the genus-0 datum with two degree-1
-    splitting places equals exactly 1."""
-    curve = CurveDatum(q=q, weil_numerator=[1], s_degrees=(1, 1), t_degrees=())
-    return class_sum(spec, curve) == 1
 
 
 # ---------------------------------------------------------------------------

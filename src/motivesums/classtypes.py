@@ -15,7 +15,7 @@ import math
 from fractions import Fraction
 from typing import Iterable
 
-from .exactalg import RationalFunction, SymbolicPolynomial
+from .exactalg import InexactDivision, SymbolicPolynomial
 from .motives import ArtinTateMotive, motive_of
 
 
@@ -95,17 +95,6 @@ def sl_centralizer_motive(t: SLType) -> ArtinTateMotive:
     for d, a in t.pairs[1:]:
         acc = acc.direct_sum(motive_of({"Res": [d, {"GL": a}]}))
     return acc.quotient_trivial()
-
-
-def ratio_at_one(t: SLType) -> RationalFunction:
-    """Value of the centralizer Frobenius determinant ratio det(t=1)/det(t=q)
-    as a rational function of q: d*(1-q)/(1-q^n) for a single-block type and
-    0 otherwise."""
-    q = SymbolicPolynomial.variable("q")
-    if len(t.pairs) > 1:
-        return RationalFunction(SymbolicPolynomial.constant(0))
-    d, _ = t.pairs[0]
-    return RationalFunction(d * (1 - q), 1 - q**t.n)
 
 
 def count_sl(n: int, d: int, q: int) -> int:
@@ -258,7 +247,8 @@ def s_count(two_n: int, q: int) -> int:
 def irreducible_count(e: int, q: int) -> int:
     total = sum(moebius(d) * q ** (e // d) for d in divisors(e))
     quot, rem = divmod(total, e)
-    assert rem == 0
+    if rem:
+        raise InexactDivision("irreducible count must be an integer")
     return quot
 
 
@@ -273,7 +263,8 @@ def _reciprocal_pair_count(e: int, q: int) -> int:
     else:
         self_rec = 0
     pairs, rem = divmod(irr - self_rec, 2)
-    assert rem == 0
+    if rem:
+        raise InexactDivision("reciprocal pairs must pair up")
     return pairs
 
 

@@ -62,18 +62,6 @@ def _curve_from(source: str, q_override: int | None = None) -> CurveDatum:
         raise _InputError(f"curve description is missing {exc}") from exc
 
 
-def _field_of(q: int) -> FiniteField:
-    for p in (2, 3, 5, 7, 11, 13):
-        k = 0
-        m = q
-        while m % p == 0:
-            m //= p
-            k += 1
-        if m == 1:
-            return FiniteField(p, k)
-    return FiniteField(q)
-
-
 def _parse_base_function(text: str) -> LefschetzFunction:
     kind, _, arg = text.partition(":")
     if not arg.lstrip("-").isdigit():
@@ -137,7 +125,7 @@ def _cmd_certificate(args) -> int:
 
 def _cmd_census(args) -> int:
     spec = _parse_group(args.group)
-    field = _field_of(args.q)
+    field = FiniteField.of_order(args.q)
     (kind, rank), = spec.items()
     if kind == "SL":
         census = sl_census(rank, field)

@@ -1,5 +1,5 @@
 """
-Exact integer and rational polynomial arithmetic.
+Exact polynomial arithmetic over the integers.
 
 Univariate polynomials over the integers are dense tuples of coefficients in
 ascending exponent order, so 1 - 2x + x^3 is IntPolynomial((1, -2, 0, 1)).
@@ -21,6 +21,11 @@ from typing import Iterable, Mapping, Union
 
 class InexactDivision(ArithmeticError):
     """Raised when a division that must be exact leaves a remainder."""
+
+
+class InvariantError(ArithmeticError):
+    """Raised when an invariant of an exact computation fails, such as two
+    routes to the same count disagreeing."""
 
 
 @dataclasses.dataclass(frozen=True)
@@ -57,10 +62,6 @@ class IntPolynomial:
     @staticmethod
     def constant(c: int) -> "IntPolynomial":
         return IntPolynomial((c,))
-
-    @staticmethod
-    def x() -> "IntPolynomial":
-        return IntPolynomial((0, 1))
 
     # -- ring operations -------------------------------------------------
 
@@ -414,11 +415,6 @@ class SymbolicPolynomial:
         return SymbolicPolynomial((name,), {(1,): 1})
 
     @staticmethod
-    def monomial(coeff: int, **powers: int) -> "SymbolicPolynomial":
-        names = tuple(powers)
-        return SymbolicPolynomial(names, {tuple(powers[n] for n in names): coeff})
-
-    @staticmethod
     def from_int_poly(p: IntPolynomial, var: str) -> "SymbolicPolynomial":
         return SymbolicPolynomial((var,), {(i,): c for i, c in enumerate(p.coeffs) if c})
 
@@ -728,164 +724,10 @@ def _rows_by_degree(terms: Mapping[tuple[int, ...], int], k: int) -> dict[int, d
     return rows
 
 
-def poly_divrem(a: SymbolicPolynomial, b: SymbolicPolynomial, var: str):
-    return a.divrem(b, var)
-
-
-def derivative(p: SymbolicPolynomial, var: str) -> SymbolicPolynomial:
-    return p.derivative(var)
-
-
-def evaluate(p: SymbolicPolynomial, assignment: Mapping[str, Union[int, Fraction]]) -> Fraction:
-    return p.evaluate(assignment)
-
-
-# ---------------------------------------------------------------------------
-# rational functions
-# ---------------------------------------------------------------------------
-
-
-@dataclasses.dataclass(frozen=True)
-class RationalFunction:
-    """Quotient of two SymbolicPolynomials, content-normalized and, when both
-    parts are univariate in the same variable, gcd-reduced there."""
-
-    numerator: SymbolicPolynomial
-    denominator: SymbolicPolynomial
-
-    def __init__(self, numerator, denominator=1):
-        num = SymbolicPolynomial._coerce(numerator)
-        den = SymbolicPolynomial._coerce(denominator)
-        if den.is_zero():
-            raise ZeroDivisionError("rational function with zero denominator")
-        num, den = _reduce_fraction(num, den)
-        object.__setattr__(self, "numerator", num)
-        object.__setattr__(self, "denominator", den)
-
-    @staticmethod
-    def _coerce(v) -> "RationalFunction":
-        if isinstance(v, RationalFunction):
-            return v
-        if isinstance(v, Fraction):
-            return RationalFunction(
-                SymbolicPolynomial.constant(v.numerator),
-                SymbolicPolynomial.constant(v.denominator),
-            )
-        return RationalFunction(SymbolicPolynomial._coerce(v))
-
-    def is_zero(self) -> bool:
-        return self.numerator.is_zero()
-
-    def __add__(self, other) -> "RationalFunction":
-        other = self._coerce(other)
-        return RationalFunction(
-            self.numerator * other.denominator + other.numerator * self.denominator,
-            self.denominator * other.denominator,
-        )
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "RationalFunction":
-        return RationalFunction(-self.numerator, self.denominator)
-
-    def __sub__(self, other) -> "RationalFunction":
-        return self + (-self._coerce(other))
-
-    def __rsub__(self, other) -> "RationalFunction":
-        return self._coerce(other) + (-self)
-
-    def __mul__(self, other) -> "RationalFunction":
-        other = self._coerce(other)
-        return RationalFunction(
-            self.numerator * other.numerator, self.denominator * other.denominator
-        )
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other) -> "RationalFunction":
-        other = self._coerce(other)
-        return RationalFunction(
-            self.numerator * other.denominator, self.denominator * other.numerator
-        )
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, (int, Fraction, SymbolicPolynomial)):
-            other = self._coerce(other)
-        if not isinstance(other, RationalFunction):
-            return NotImplemented
-        return self.numerator * other.denominator == other.numerator * self.denominator
-
-    def __hash__(self):
-        return hash((self.numerator, self.denominator))
-
-    def evaluate(self, assignment) -> Fraction:
-        den = self.denominator.evaluate(assignment)
-        if den == 0:
-            raise ZeroDivisionError("denominator vanishes at the assignment")
-        return self.numerator.evaluate(assignment) / den
-
-    def derivative(self, var: str) -> "RationalFunction":
-        return RationalFunction(
-            self.numerator.derivative(var) * self.denominator
-            - self.numerator * self.denominator.derivative(var),
-            self.denominator * self.denominator,
-        )
-
-    def as_polynomial(self, var: str) -> SymbolicPolynomial:
-        """Exact quotient numerator/denominator, dividing out the integer
-        content first; raises InexactDivision if not a polynomial."""
-        den = self.denominator
-        c = den.content()
-        num = self.numerator
-        if c > 1:
-            num = num.map_coefficients(lambda v: _exact_int_div(v, c))
-            den = den.map_coefficients(lambda v: v // c)
-        if den == 1:
-            return num
-        return num.exact_div(den, var)
-
-    def __str__(self) -> str:
-        if self.denominator == 1:
-            return str(self.numerator)
-        return f"({self.numerator})/({self.denominator})"
-
-
-def _exact_int_div(v: int, c: int) -> int:
-    q, r = divmod(v, c)
-    if r:
-        raise InexactDivision(f"{v} not divisible by {c}")
-    return q
-
-
-def _reduce_fraction(num: SymbolicPolynomial, den: SymbolicPolynomial):
-    if num.is_zero():
-        return num, SymbolicPolynomial.constant(1)
-    cn, cd = num.content(), den.content()
-    g = math.gcd(cn, cd)
-    ((_, dlead),) = sorted(den.terms.items())[-1:]
-    if dlead < 0:
-        g = -g
-    if g != 1:
-        num = num.map_coefficients(lambda c: c // g)
-        den = den.map_coefficients(lambda c: c // g)
-    if len(num.vars) <= 1 and len(den.vars) <= 1 and (not num.vars or not den.vars or num.vars == den.vars):
-        var = (num.vars or den.vars or ("x",))[0]
-        g2 = poly_gcd(_to_int_poly(num, var), _to_int_poly(den, var))
-        if g2.degree > 0:
-            gq = SymbolicPolynomial.from_int_poly(g2, var)
-            num = num.exact_div(gq, var)
-            den = den.exact_div(gq, var)
-    return num, den
-
-
-def _to_int_poly(p: SymbolicPolynomial, var: str) -> IntPolynomial:
+def to_int_poly(p: SymbolicPolynomial, var: str) -> IntPolynomial:
     if p.vars not in ((), (var,)):
         raise ValueError(f"polynomial is not univariate in {var}")
     if not p.vars:
         return IntPolynomial((p.constant_value(),))
     d = p.degree_in(var)
     return IntPolynomial(tuple(p.terms.get((i,), 0) for i in range(d + 1)))
-
-
-def to_int_poly(p: SymbolicPolynomial, var: str) -> IntPolynomial:
-    return _to_int_poly(p, var)

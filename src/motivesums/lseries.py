@@ -11,11 +11,10 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .curves import CurveDatum, h0_det
 from .exactalg import (
-    InexactDivision,
     IntPolynomial,
     SymbolicPolynomial,
     resultant,
@@ -56,7 +55,8 @@ def l_value(motive: ArtinTateMotive, curve: CurveDatum) -> Fraction:
         f3 = (h0t / det_q).evaluate(Fraction(q))
     else:
         denom = det_q.evaluate(Fraction(q))
-        assert denom != 0, "weight >= 1 eigenvalues cannot hit 1 at t = q"
+        if denom == 0:
+            raise ZeroDivisionError("weight >= 1 eigenvalues cannot hit 1 at t = q")
         f3 = Fraction(1) / denom
     return Fraction(f1) * f2 * f3
 

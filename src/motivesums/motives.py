@@ -178,8 +178,3 @@ def _positive_int(v, label: str) -> int:
     if not isinstance(v, int) or isinstance(v, bool) or v < 1:
         raise ValueError(f"{label} must be a positive integer, got {v!r}")
     return v
-
-
-def weights_vector(motive: ArtinTateMotive) -> list[tuple[int, tuple[int, ...]]]:
-    """Compact weight/coefficient listing, handy for table displays."""
-    return [(p.weight, p.charpoly.coeffs) for p in motive.pieces]

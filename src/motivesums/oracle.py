@@ -11,6 +11,7 @@ import itertools
 from typing import Iterable
 
 from .classtypes import SLType, SpType, enumerate_sl_types, enumerate_sp_types
+from .exactalg import InexactDivision, InvariantError
 from .motives import parse_group_spec
 
 
@@ -28,6 +29,27 @@ def _is_prime(p: int) -> bool:
             return False
         d += 1
     return True
+
+
+def _divmod(f, g, sub, mul) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Quotient and remainder of f by the monic g, with coefficient
+    arithmetic done by sub and mul."""
+    rem = list(f)
+    dg = len(g) - 1
+    quo = [0] * max(0, len(f) - dg)
+    while len(rem) - 1 >= dg and any(rem):
+        while rem and rem[-1] == 0:
+            rem.pop()
+        if len(rem) - 1 < dg:
+            break
+        head = rem[-1]
+        shift = len(rem) - 1 - dg
+        quo[shift] = head
+        for i, c in enumerate(g):
+            rem[shift + i] = sub(rem[shift + i], mul(head, c))
+    while rem and rem[-1] == 0:
+        rem.pop()
+    return tuple(quo), tuple(rem)
 
 
 class FiniteField:
@@ -49,6 +71,21 @@ class FiniteField:
 
     # -- construction ------------------------------------------------------
 
+    @classmethod
+    def of_order(cls, q: int) -> "FiniteField":
+        """The field with q elements, for a prime power q at most 2^16."""
+        # the range check keeps the factor search below short
+        if not 2 <= q <= 2**16:
+            raise ValueError(f"field size must be a prime power at most 2^16, got {q}")
+        p = next(d for d in range(2, q + 1) if q % d == 0)
+        k, m = 0, q
+        while m % p == 0:
+            m //= p
+            k += 1
+        if m != 1:
+            raise ValueError(f"{q} is not a prime power")
+        return cls(p, k)
+
     def _first_irreducible_modulus(self) -> tuple[int, ...]:
         if self.k == 1:
             return (0, 1)
@@ -56,35 +93,17 @@ class FiniteField:
             candidate = digits + (1,)
             if self._prime_field_irreducible(candidate):
                 return candidate
-        raise AssertionError("no irreducible modulus found")
+        raise InvariantError("no irreducible modulus found")
 
     def _prime_field_irreducible(self, poly: tuple[int, ...]) -> bool:
         # trial division over Z/p by all monic polynomials of low degree
+        p = self.p
         deg = len(poly) - 1
         for d in range(1, deg // 2 + 1):
-            for digits in itertools.product(range(self.p), repeat=d):
-                div = digits + (1,)
-                if self._prime_field_rem(poly, div) == ():
+            for digits in itertools.product(range(p), repeat=d):
+                if _divmod(poly, digits + (1,), lambda a, b: (a - b) % p, int.__mul__)[1] == ():
                     return False
-        if deg >= 1 and any(self._prime_field_rem(poly, (c, 1)) == () for c in range(self.p)):
-            return deg == 1
         return True
-
-    def _prime_field_rem(self, f, g) -> tuple[int, ...]:
-        rem = list(f)
-        dg = len(g) - 1
-        while len(rem) - 1 >= dg and any(rem):
-            while rem and rem[-1] == 0:
-                rem.pop()
-            if len(rem) - 1 < dg:
-                break
-            head = rem[-1]  # divisor monic
-            shift = len(rem) - 1 - dg
-            for i, c in enumerate(g):
-                rem[shift + i] = (rem[shift + i] - head * c) % self.p
-        while rem and rem[-1] == 0:
-            rem.pop()
-        return tuple(rem)
 
     def _power_reductions(self) -> list[tuple[int, ...]]:
         # digits of x^(k+i) reduced modulo the modulus, i = 0 .. k-2
@@ -162,37 +181,14 @@ class FiniteField:
 
     def poly_rem(self, f: tuple[int, ...], g: tuple[int, ...]) -> tuple[int, ...]:
         """Remainder of f by monic g."""
-        rem = list(f)
-        dg = len(g) - 1
-        while len(rem) - 1 >= dg and any(rem):
-            while rem and rem[-1] == 0:
-                rem.pop()
-            if len(rem) - 1 < dg:
-                break
-            head = rem[-1]
-            shift = len(rem) - 1 - dg
-            for i, c in enumerate(g):
-                rem[shift + i] = self.sub(rem[shift + i], self.mul(head, c))
-        while rem and rem[-1] == 0:
-            rem.pop()
-        return tuple(rem)
+        return _divmod(f, g, self.sub, self.mul)[1]
 
     def poly_div_exact(self, f: tuple[int, ...], g: tuple[int, ...]) -> tuple[int, ...]:
-        rem = list(f)
-        dg = len(g) - 1
-        quo = [0] * (len(f) - dg)
-        while len(rem) - 1 >= dg and any(rem):
-            while rem and rem[-1] == 0:
-                rem.pop()
-            if len(rem) - 1 < dg:
-                break
-            head = rem[-1]
-            shift = len(rem) - 1 - dg
-            quo[shift] = head
-            for i, c in enumerate(g):
-                rem[shift + i] = self.sub(rem[shift + i], self.mul(head, c))
-        assert not any(rem), "exact division expected"
-        return tuple(quo)
+        """Quotient of f by monic g, which must divide f."""
+        quo, rem = _divmod(f, g, self.sub, self.mul)
+        if rem:
+            raise InexactDivision("exact division expected")
+        return quo
 
     def poly_mul(self, f: tuple[int, ...], g: tuple[int, ...]) -> tuple[int, ...]:
         out = [0] * (len(f) + len(g) - 1)
@@ -370,7 +366,7 @@ def self_reciprocal_irreducible_census(field: FiniteField, two_n: int) -> int:
 
 def matrix_census_tiny(spec, field: FiniteField) -> dict[tuple[int, ...], int]:
     """Conjugacy classes of semisimple elements of the rank-1 group over the
-    field, keyed by characteristic polynomial; asserts agreement with the
+    field, keyed by characteristic polynomial; checks agreement with the
     polynomial-level census."""
     spec = parse_group_spec(spec)
     ((kind, size),) = spec.items()
@@ -385,7 +381,8 @@ def matrix_census_tiny(spec, field: FiniteField) -> dict[tuple[int, ...], int]:
         det = field.sub(field.mul(a, d), field.mul(b, c))
         if det == 1:
             group.append((a, b, c, d))
-    assert len(group) == order
+    if len(group) != order:
+        raise InvariantError("determinant-one census does not match the group order")
 
     def mat_mul(m1, m2):
         a, b, c, d = m1
@@ -426,5 +423,6 @@ def matrix_census_tiny(spec, field: FiniteField) -> dict[tuple[int, ...], int]:
         )
         classes[charpoly] = classes.get(charpoly, 0) + 1
     total_polys = sum(sl_census(2, field).values())
-    assert sum(classes.values()) == total_polys, "class/polynomial census mismatch"
+    if sum(classes.values()) != total_polys:
+        raise InvariantError("class/polynomial census mismatch")
     return classes

@@ -8,7 +8,6 @@ the symbolic certificates and L-function laws, "all" runs everything.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 from .classsums import (
     CertificateError,
@@ -18,7 +17,7 @@ from .classsums import (
     sl_script_p,
     sp_certificate,
 )
-from .classtypes import SLType, count_sl, count_sp, s_count, table_goldens
+from .classtypes import SLType, count_sl, s_count, table_goldens
 from .curves import CurveDatum
 from .lefschetz import CyclotomicRational, LefschetzFunction, f_N_transform, place_product
 from .lseries import (
@@ -47,18 +46,6 @@ def _projective_line(q: int, s=(1,), t=(1,)) -> CurveDatum:
 
 def _elliptic(q: int, a: int, s=(1,), t=(1,)) -> CurveDatum:
     return CurveDatum(q=q, weil_numerator=[1, -a, q], s_degrees=s, t_degrees=t)
-
-
-def _field(q: int) -> FiniteField:
-    for p in (2, 3, 5, 7):
-        k = 0
-        m = q
-        while m % p == 0:
-            m //= p
-            k += 1
-        if m == 1:
-            return FiniteField(p, k)
-    return FiniteField(q)
 
 
 def check_trivial_l_values() -> CheckResult:
@@ -91,7 +78,7 @@ def check_table_census() -> CheckResult:
     out = []
     for n, qs in ((2, (2, 3, 4, 5, 7)), (3, (2, 3, 4))):
         for q in qs:
-            census = sp_census(n, _field(q))
+            census = sp_census(n, FiniteField.of_order(q))
             parity = "even" if q % 2 == 0 else "odd"
             for row in table_goldens()[(n, parity)]:
                 label = f"table-census Sp_{2 * n} q={q} {row.label}"
@@ -103,14 +90,14 @@ def check_counting_formulas() -> CheckResult:
     """Closed-form counts match exhaustive enumeration."""
     out = []
     for q in (2, 3, 4, 5):
-        field = _field(q)
+        field = FiniteField.of_order(q)
         for two_n in (2, 4, 6, 8):
             label = f"self-reciprocal-count q={q} deg={two_n}"
             out.append(
                 (label, self_reciprocal_irreducible_census(field, two_n) == s_count(two_n, q))
             )
     for q in (2, 3, 4, 5, 7, 8):
-        field = _field(q)
+        field = FiniteField.of_order(q)
         for n in range(1, 6):
             if math.gcd(n, q - 1) != 1:
                 continue

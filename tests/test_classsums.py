@@ -15,7 +15,6 @@ from motivesums.classsums import (
     sl_prime_certificate,
     sl_script_p,
     sp_certificate,
-    verify_sum_identity,
 )
 from motivesums.classtypes import table_goldens
 from motivesums.curves import CurveDatum
@@ -50,9 +49,9 @@ def test_sp_class_sum_is_one(size, q):
 
 
 def test_verify_sum_identity():
-    assert verify_sum_identity({"SL": 4}, 3)
-    assert verify_sum_identity({"Sp": 6}, 2)
-    assert verify_sum_identity({"SL": 2}, 9)
+    assert class_sum({"SL": 4}, projective_line(3)) == 1
+    assert class_sum({"Sp": 6}, projective_line(2)) == 1
+    assert class_sum({"SL": 2}, projective_line(9)) == 1
 
 
 def test_class_sum_preconditions():

@@ -71,6 +71,29 @@ def test_census_sl2(capsys):
     assert rows == {"1x1+1x1": "0", "2x1": "2", "1x2": "1"}
 
 
+def test_census_over_prime_square_field(capsys):
+    code, out = run_cli(capsys, "census", "--group", "SL:2", "--q", "289")
+    assert code == 0
+    rows = [line.split(",") for line in out.strip().splitlines()[1:]]
+    assert sum(int(count) for _, count in rows) == 289
+
+
+@pytest.mark.parametrize(
+    "q, message", [("0", "at most 2^16"), ("6", "not a prime power"), ("65537", "at most 2^16")]
+)
+def test_census_bad_field_size_exits_2(q, message):
+    # a subprocess with a timeout, so that a factor search that never ends fails
+    proc = subprocess.run(
+        [sys.executable, "-m", "motivesums.cli", "census", "--group", "SL:2", "--q", q],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.count("\n") == 1 and message in proc.stderr
+
+
 def test_certificate_json_round_trips(capsys):
     code, out = run_cli(
         capsys, "certificate", "--family", "sl-prime", "--params", '{"l":3,"r":0}'

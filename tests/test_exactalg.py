@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 from motivesums.exactalg import (
     InexactDivision,
     IntPolynomial,
-    RationalFunction,
     SymbolicPolynomial,
     cyclotomic,
     poly_gcd,
@@ -345,56 +344,3 @@ def test_to_int_poly_roundtrip():
     p = 1 - 2 * t + t**3
     assert to_int_poly(p, "t").coeffs == (1, -2, 0, 1)
     assert SymbolicPolynomial.from_int_poly(IntPolynomial((1, -2, 0, 1)), "t") == p
-
-
-# ---------------------------------------------------------------------------
-# RationalFunction
-# ---------------------------------------------------------------------------
-
-
-def test_rational_function_reduces_univariate():
-    x = SymbolicPolynomial.variable("x")
-    f = RationalFunction(x**2 - 1, x - 1)
-    assert f.numerator == x + 1
-    assert f.denominator == 1
-
-
-def test_rational_function_equality_cross_multiplication():
-    x = SymbolicPolynomial.variable("x")
-    y = SymbolicPolynomial.variable("y")
-    assert RationalFunction(x * y, y) == RationalFunction(x * x, x)
-    assert RationalFunction(1, 1 + x) != RationalFunction(1, 1 - x)
-
-
-def test_rational_function_field_ops():
-    x = SymbolicPolynomial.variable("x")
-    f = RationalFunction(1, 1 + x)
-    g = RationalFunction(x, 1 + x)
-    assert f + g == 1
-    assert f * g == RationalFunction(x, (1 + x) ** 2)
-    assert (f / g) == RationalFunction(SymbolicPolynomial.constant(1), x)
-    assert f - f == 0
-
-
-def test_rational_function_derivative_quotient_rule():
-    x = SymbolicPolynomial.variable("x")
-    f = RationalFunction(1, 1 + x)
-    df = f.derivative("x")
-    assert df == RationalFunction(SymbolicPolynomial.constant(-1), (1 + x) ** 2)
-
-
-def test_rational_function_evaluate():
-    x = SymbolicPolynomial.variable("x")
-    f = RationalFunction(1 + x, 1 - x)
-    assert f.evaluate({"x": Fraction(1, 2)}) == 3
-    with pytest.raises(ZeroDivisionError):
-        f.evaluate({"x": 1})
-
-
-def test_rational_function_as_polynomial():
-    x = SymbolicPolynomial.variable("x")
-    f = RationalFunction(2 * (1 - x**2), SymbolicPolynomial.constant(2))
-    assert f.as_polynomial("x") == 1 - x**2
-    g = RationalFunction(1 + x, (1 + x) ** 2)
-    with pytest.raises(InexactDivision):
-        g.as_polynomial("x")

@@ -2,6 +2,8 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from motivesums.classtypes import (
     SLType,
@@ -10,6 +12,7 @@ from motivesums.classtypes import (
     s_count,
     table_goldens,
 )
+from motivesums.exactalg import InexactDivision
 from motivesums.oracle import (
     BudgetError,
     FiniteField,
@@ -55,6 +58,24 @@ def test_field_construction_validation():
         FiniteField(2, 17)
 
 
+def test_of_order_finds_prime_powers():
+    primes = [p for p in range(2, 130) if all(p % d for d in range(2, p))]
+    prime_powers = {p**k: (p, k) for p in primes for k in range(1, 8) if p**k < 130}
+    for q in range(2, 130):
+        if q in prime_powers:
+            field = FiniteField.of_order(q)
+            assert (field.p, field.k, field.q) == prime_powers[q] + (q,)
+        else:
+            with pytest.raises(ValueError, match="not a prime power"):
+                FiniteField.of_order(q)
+    field = FiniteField.of_order(289)
+    assert (field.p, field.k) == (17, 2)
+    # out of range, including a large prime, is rejected before any factoring
+    for q in (-4, 0, 1, 2**16 + 1, 2**61 - 1):
+        with pytest.raises(ValueError, match="at most 2\\^16"):
+            FiniteField.of_order(q)
+
+
 def test_extension_modulus_shape_and_rootlessness():
     for field in (F4, F8, F9):
         assert len(field.modulus) == field.k + 1 and field.modulus[-1] == 1
@@ -92,6 +113,26 @@ def test_factor_monic_roundtrip():
             for _ in range(mult):
                 acc = field.poly_mul(acc, p)
         assert acc == poly
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_poly_division_recovers_planted_quotient(data):
+    field = data.draw(st.sampled_from([F4, F9]), label="field")
+    element = st.integers(0, field.q - 1)
+    a = tuple(data.draw(st.lists(element, max_size=4))) + (data.draw(st.integers(1, field.q - 1)),)
+    g = tuple(data.draw(st.lists(element, min_size=1, max_size=4))) + (1,)
+    f = field.poly_mul(a, g)
+    assert field.poly_div_exact(f, g) == a
+    assert field.poly_rem(f, g) == ()
+    # adding a nonzero r of lower degree than g leaves remainder r
+    r = data.draw(st.lists(element, min_size=len(g) - 1, max_size=len(g) - 1).filter(any))
+    bumped = tuple(field.add(c, r[i]) if i < len(r) else c for i, c in enumerate(f))
+    while not r[-1]:
+        r.pop()
+    assert field.poly_rem(bumped, g) == tuple(r)
+    with pytest.raises(InexactDivision):
+        field.poly_div_exact(bumped, g)
 
 
 def test_budget_errors():
