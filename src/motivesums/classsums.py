@@ -251,6 +251,8 @@ def sl_script_p(n: int, r: int, n_prime: int = 1, d_prime: int = 1) -> SymbolicC
     (x^n - 1) exactly, leaving an integer polynomial."""
     if n < 1 or r < 0:
         raise ValueError("size and arity must be positive / nonnegative")
+    if n_prime < 1 or d_prime < 1:
+        raise ValueError("scales must be positive")
     if n_prime % d_prime:
         raise ValueError("d_prime must divide n_prime")
     if math.gcd(d_prime, n) != 1:

@@ -56,10 +56,23 @@ def _curve_from(source: str, q_override: int | None = None) -> CurveDatum:
         raise _InputError("curve description must be a JSON object")
     if q_override is not None:
         data = dict(data, q=q_override)
-    try:
-        return CurveDatum.from_json(data)
-    except KeyError as exc:
-        raise _InputError(f"curve description is missing {exc}") from exc
+    for key in ("q", "weil_numerator", "s_degrees"):
+        if key not in data:
+            raise _InputError(f"curve description is missing {key!r}")
+    _integer(data["q"], "q")
+    for key in ("weil_numerator", "s_degrees", "t_degrees"):
+        values = data.get(key, [])
+        if not isinstance(values, list):
+            raise _InputError(f"{key} must be a list of integers, got {values!r}")
+        for value in values:
+            _integer(value, key)
+    return CurveDatum.from_json(data)
+
+
+def _integer(value, name: str) -> None:
+    """JSON integers only: strings, floats and booleans are malformed input."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise _InputError(f"{name} must be an integer, got {value!r}")
 
 
 def _parse_base_function(text: str) -> LefschetzFunction:
@@ -94,9 +107,7 @@ def _cmd_lfun(args) -> int:
 
 
 def _cmd_class_sum(args) -> int:
-    curve = _curve_from(args.curve, args.q)
-    if args.base_change > 1:
-        curve = curve.base_change(args.base_change)
+    curve = _curve_from(args.curve, args.q).base_change(args.base_change)
     print(class_sum(_parse_group(args.group), curve))
     return 0
 
@@ -105,6 +116,9 @@ def _cmd_certificate(args) -> int:
     params = _load_json(args.params)
     if not isinstance(params, dict):
         raise _InputError("--params must be a JSON object")
+    for key in ("l", "n", "r", "n_prime", "d_prime"):
+        if key in params:
+            _integer(params[key], key)
     try:
         if args.family == "sl-prime":
             cert = sl_prime_certificate(params["l"], params.get("r", 0))
@@ -146,6 +160,8 @@ def _cmd_census(args) -> int:
 
 
 def _cmd_lefschetz(args) -> int:
+    if args.m_max < 1:
+        raise _InputError(f"--m-max must be positive, got {args.m_max}")
     if args.op == "chi":
         fn = LefschetzFunction.chi(args.n)
     elif args.op == "fN":

@@ -4,10 +4,17 @@ Exact polynomial arithmetic over the integers.
 Univariate polynomials over the integers are dense tuples of coefficients in
 ascending exponent order, so 1 - 2x + x^3 is IntPolynomial((1, -2, 0, 1)).
 Multivariate polynomials are sparse: a tuple of variable names plus a map from
-exponent vectors to nonzero integer coefficients.  All values are immutable
-and all operations are pure, so everything here is safe to share across
-threads.  The only shared mutable state is the cyclotomic memo table, which
-functools.cache guards.
+packed monomials to nonzero integer coefficients.  A packed monomial is one
+integer holding a fixed-width bit field per variable name, so multiplying two
+monomials is one integer addition, and polynomials over different variables
+combine without realigning their exponent vectors.
+
+All values are immutable and all operations are pure, so everything here is
+safe to share across threads.  There are two kinds of shared mutable state:
+the memo tables (cyclotomic polynomials, guard-bit masks), which
+functools.cache guards, and the append-only registry that gives each
+variable name its bit field the first time the name is seen, whose
+registration is a single atomic dict.setdefault.
 """
 from __future__ import annotations
 
@@ -15,6 +22,7 @@ import dataclasses
 import functools
 import itertools
 import math
+import operator
 from fractions import Fraction
 from typing import Iterable, Mapping, Union
 
@@ -382,46 +390,127 @@ def _interpolate_integer(points: list[tuple[int, int]]) -> IntPolynomial:
 
 Scalar = Union[int, "SymbolicPolynomial"]
 
+# A monomial is one integer.  Every variable name owns a _W-bit field, fixed
+# the first time the name is seen and never reused, so monomials over any
+# variables share one layout and the product of two monomials is their sum.
+# The top bit of each field is a guard: exponents stay below _LIMIT, and a sum
+# that reaches the guard raises OverflowError before it can carry into the
+# next field.
+_W = 16
+_FIELD = (1 << _W) - 1
+_LIMIT = 1 << (_W - 1)
+_SHIFTS: dict[str, int] = {}
+_SLOTS = itertools.count()
+
+
+def _shift(name: str) -> int:
+    """Bit offset of the name's field, registering the name on first use.
+
+    setdefault is atomic, so threads racing on one new name agree on its
+    field; the loser's slot number is simply never used."""
+    s = _SHIFTS.get(name)
+    if s is None:
+        s = _SHIFTS.setdefault(name, _W * next(_SLOTS))
+    return s
+
+
+@functools.cache
+def _guard_bits(fields: int) -> int:
+    return ((1 << (_W * fields)) - 1) // _FIELD << (_W - 1)
+
+
+def _check_degree(d: int) -> None:
+    if d >= _LIMIT:
+        raise OverflowError(f"an exponent reached 2^{_W - 1}")
+
+
+def _check_exponents(used: int) -> None:
+    """Raise OverflowError when a field of used, the OR of some keys, reached
+    its guard bit."""
+    if used & _guard_bits(-(-used.bit_length() // _W)):
+        raise OverflowError(f"an exponent reached 2^{_W - 1}")
+
+
+def _or_all(keys: Iterable[int]) -> int:
+    return functools.reduce(operator.or_, keys, 0)
+
 
 class SymbolicPolynomial:
     """Sparse polynomial over Z in named variables.
 
-    Variables keep their creation order for printing; equality ignores the
-    order and any unused variables.
+    Terms are stored as {packed monomial: coefficient}.  vars lists the
+    variables that occur, in creation order, for printing; equality ignores
+    that order.
     """
 
-    __slots__ = ("vars", "terms")
+    __slots__ = ("vars", "_packed")
 
     def __init__(self, vars: tuple[str, ...] = (), terms: Mapping[tuple[int, ...], int] | None = None):
-        clean = {e: c for e, c in (terms or {}).items() if c != 0}
-        used = [i for i in range(len(vars)) if any(e[i] for e in clean)]
-        if len(used) != len(vars):
-            vars = tuple(vars[i] for i in used)
-            clean = {tuple(e[i] for i in used): c for e, c in clean.items()}
-        object.__setattr__(self, "vars", vars)
-        object.__setattr__(self, "terms", clean)
+        vars = tuple(vars)
+        if len(set(vars)) != len(vars):
+            raise ValueError(f"repeated variable name in {vars}")
+        shifts = [_shift(v) for v in vars]
+        packed = {}
+        for exps, c in (terms or {}).items():
+            if c:
+                if min(exps, default=0) < 0:
+                    raise ValueError(f"negative exponent in {exps}")
+                _check_degree(max(exps, default=0))
+                packed[sum(e << s for e, s in zip(exps, shifts, strict=True))] = c
+        self._init(vars, packed)
+
+    def _init(self, names: tuple[str, ...], packed: dict[int, int]) -> None:
+        """Take a zero-free packed dict whose variables lie in names; keep the
+        names that occur, in names' order."""
+        used = _or_all(packed)
+        _check_exponents(used)
+        object.__setattr__(self, "vars", tuple(v for v in names if used >> _SHIFTS[v] & _FIELD))
+        object.__setattr__(self, "_packed", packed)
+
+    @classmethod
+    def _new(cls, names: tuple[str, ...], packed: dict[int, int]) -> "SymbolicPolynomial":
+        p = object.__new__(cls)
+        p._init(names, packed)
+        return p
+
+    @classmethod
+    def _exact(cls, vars: tuple[str, ...], packed: dict[int, int]) -> "SymbolicPolynomial":
+        """Wrap a zero-free packed dict in exactly the variables vars, with
+        exponents already known to be in range."""
+        p = object.__new__(cls)
+        object.__setattr__(p, "vars", vars)
+        object.__setattr__(p, "_packed", packed)
+        return p
 
     def __setattr__(self, *a):  # immutable
         raise AttributeError("SymbolicPolynomial is immutable")
+
+    @property
+    def terms(self) -> dict[tuple[int, ...], int]:
+        """The terms keyed by exponent tuples in the order of vars."""
+        shifts = [_SHIFTS[v] for v in self.vars]
+        return {tuple([e >> s & _FIELD for s in shifts]): c for e, c in self._packed.items()}
 
     # -- constructors ------------------------------------------------------
 
     @staticmethod
     def constant(c: int) -> "SymbolicPolynomial":
-        return SymbolicPolynomial((), {(): c} if c else {})
+        return SymbolicPolynomial._exact((), {0: c} if c else {})
 
     @staticmethod
     def variable(name: str) -> "SymbolicPolynomial":
-        return SymbolicPolynomial((name,), {(1,): 1})
+        return SymbolicPolynomial._exact((name,), {1 << _shift(name): 1})
 
     @staticmethod
     def from_int_poly(p: IntPolynomial, var: str) -> "SymbolicPolynomial":
-        return SymbolicPolynomial((var,), {(i,): c for i, c in enumerate(p.coeffs) if c})
+        _check_degree(p.degree)
+        s = _shift(var)
+        return SymbolicPolynomial._new((var,), {i << s: c for i, c in enumerate(p.coeffs) if c})
 
     # -- structure ----------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._packed
 
     def is_constant(self) -> bool:
         return not self.vars
@@ -429,46 +518,22 @@ class SymbolicPolynomial:
     def constant_value(self) -> int:
         if self.vars:
             raise ValueError("polynomial is not constant")
-        return self.terms.get((), 0)
+        return self._packed.get(0, 0)
 
     def content(self) -> int:
-        return math.gcd(*self.terms.values()) if self.terms else 0
-
-    def _canonical(self) -> dict:
-        return {
-            frozenset((v, e) for v, e in zip(self.vars, exps) if e): c
-            for exps, c in self.terms.items()
-        }
+        return math.gcd(*self._packed.values()) if self._packed else 0
 
     def __eq__(self, other) -> bool:
         if isinstance(other, int):
-            other = SymbolicPolynomial.constant(other)
+            return self._packed == ({0: other} if other else {})
         if not isinstance(other, SymbolicPolynomial):
             return NotImplemented
-        return self._canonical() == other._canonical()
+        return self._packed == other._packed
 
     def __hash__(self):
-        return hash(frozenset((k, c) for k, c in self._canonical().items()))
+        return hash(frozenset(self._packed.items()))
 
     # -- arithmetic ----------------------------------------------------------
-
-    def _aligned(self, other: "SymbolicPolynomial"):
-        if self.vars == other.vars:
-            return self.vars, self.terms, other.terms
-        names = self.vars + tuple(v for v in other.vars if v not in self.vars)
-        idx = {v: i for i, v in enumerate(names)}
-
-        def remap(p: "SymbolicPolynomial"):
-            pos = [idx[v] for v in p.vars]
-            out = {}
-            for exps, c in p.terms.items():
-                key = [0] * len(names)
-                for p_i, e in zip(pos, exps):
-                    key[p_i] = e
-                out[tuple(key)] = c
-            return out
-
-        return names, remap(self), remap(other)
 
     @staticmethod
     def _coerce(v) -> "SymbolicPolynomial":
@@ -478,36 +543,53 @@ class SymbolicPolynomial:
             return SymbolicPolynomial.constant(v)
         raise TypeError(f"cannot coerce {v!r} to SymbolicPolynomial")
 
+    def _merged(self, other: "SymbolicPolynomial") -> tuple[str, ...]:
+        """This polynomial's variables, then the other's new ones."""
+        if self.vars == other.vars:
+            return self.vars
+        return self.vars + tuple(v for v in other.vars if v not in self.vars)
+
+    def _plus(self, other: "SymbolicPolynomial", sign: int) -> "SymbolicPolynomial":
+        out = dict(self._packed)
+        cancelled = False
+        for e, c in other._packed.items():
+            c = out.get(e, 0) + sign * c
+            if c:
+                out[e] = c
+            else:
+                del out[e]
+                cancelled = True
+        names = self._merged(other)
+        return self._new(names, out) if cancelled else self._exact(names, out)
+
     def __add__(self, other) -> "SymbolicPolynomial":
-        other = self._coerce(other)
-        names, a, b = self._aligned(other)
-        out = dict(a)
-        for e, c in b.items():
-            out[e] = out.get(e, 0) + c
-        return SymbolicPolynomial(names, out)
+        return self._plus(self._coerce(other), 1)
 
     __radd__ = __add__
 
     def __neg__(self) -> "SymbolicPolynomial":
-        return SymbolicPolynomial(self.vars, {e: -c for e, c in self.terms.items()})
+        return self._exact(self.vars, {e: -c for e, c in self._packed.items()})
 
     def __sub__(self, other) -> "SymbolicPolynomial":
-        return self + (-self._coerce(other))
+        return self._plus(self._coerce(other), -1)
 
     def __rsub__(self, other) -> "SymbolicPolynomial":
-        return self._coerce(other) + (-self)
+        return self._coerce(other)._plus(self, -1)
 
     def __mul__(self, other) -> "SymbolicPolynomial":
         if isinstance(other, int):
-            return SymbolicPolynomial(self.vars, {e: c * other for e, c in self.terms.items()})
+            if not other:
+                return SymbolicPolynomial.constant(0)
+            return self._exact(self.vars, {e: c * other for e, c in self._packed.items()})
         other = self._coerce(other)
-        names, a, b = self._aligned(other)
         out: dict = {}
-        for ea, ca in a.items():
-            for eb, cb in b.items():
-                key = tuple(x + y for x, y in zip(ea, eb))
-                out[key] = out.get(key, 0) + ca * cb
-        return SymbolicPolynomial(names, out)
+        get = out.get
+        b = list(other._packed.items())
+        for ea, ca in self._packed.items():
+            for eb, cb in b:
+                key = ea + eb
+                out[key] = get(key, 0) + ca * cb
+        return self._new(self._merged(other), {e: c for e, c in out.items() if c})
 
     __rmul__ = __mul__
 
@@ -519,161 +601,190 @@ class SymbolicPolynomial:
         while n:
             if n & 1:
                 result = result * base
-            base = base * base
             n >>= 1
+            if n:
+                base = base * base
         return result
 
     # -- substitution and evaluation -----------------------------------------
 
     def substitute(self, mapping: Mapping[str, Scalar]) -> "SymbolicPolynomial":
         """Ring homomorphism sending named variables to integers or
-        polynomials; unmentioned variables stay put."""
-        cache: dict[tuple[str, int], SymbolicPolynomial] = {}
+        polynomials; unmentioned variables stay put.
 
-        def power(v: str, e: int) -> SymbolicPolynomial:
-            key = (v, e)
-            if key not in cache:
-                base = mapping.get(v)
-                base = SymbolicPolynomial.variable(v) if base is None else self._coerce(base)
-                cache[key] = base**e
-            return cache[key]
-
-        acc = SymbolicPolynomial.constant(0)
-        for exps, c in self.terms.items():
-            term = SymbolicPolynomial.constant(c)
-            for v, e in zip(self.vars, exps):
-                if e:
-                    term = term * power(v, e)
-            acc = acc + term
-        return acc
+        Each term's mapped exponents select a product of powers of the images,
+        computed once per distinct selection; the term's unmapped part stays
+        packed and shifts that product into one accumulator.  The result lists
+        its variables by first appearance over the terms, each term giving the
+        variables of its factors in the order of this polynomial's variables.
+        """
+        images = {v: self._coerce(mapping[v]) for v in self.vars if mapping.get(v) is not None}
+        mapped = [(_SHIFTS[v], image) for v, image in images.items()]
+        mask = sum(_FIELD << s for s, _ in mapped)
+        # the variables that each variable's factor brings into a term
+        brings = [(_SHIFTS[v], images[v].vars if v in images else (v,)) for v in self.vars]
+        candidates = {w for _, names in brings for w in names}
+        order: list[str] = []
+        products: dict[int, dict[int, int]] = {}
+        out: dict[int, int] = {}
+        get = out.get
+        for e, c in self._packed.items():
+            m = e & mask
+            product = products.get(m)
+            if product is None:
+                acc = SymbolicPolynomial.constant(1)
+                for s, image in mapped:
+                    if k := m >> s & _FIELD:
+                        acc = acc * image**k
+                product = products[m] = acc._packed
+            if not product:
+                continue
+            if len(order) < len(candidates):
+                for s, names in brings:
+                    if e >> s & _FIELD:
+                        order += [w for w in names if w not in order]
+            rest = e - m
+            for k, pc in product.items():
+                key = k + rest
+                out[key] = get(key, 0) + c * pc
+        return self._new(tuple(order), {e: c for e, c in out.items() if c})
 
     def scale_exponents(self, factor: int, names: Iterable[str] | None = None) -> "SymbolicPolynomial":
         """Replace each listed variable v by v^factor (all variables when
         names is None)."""
+        if factor < 1:
+            raise ValueError("scale factor must be positive")
         which = set(self.vars if names is None else names)
-        mask = [factor if v in which else 1 for v in self.vars]
-        return SymbolicPolynomial(
-            self.vars, {tuple(e * m for e, m in zip(exps, mask)): c for exps, c in self.terms.items()}
-        )
+        mask = 0
+        for v in self.vars:
+            if v in which:
+                s = _SHIFTS[v]
+                _check_degree(max(e >> s & _FIELD for e in self._packed) * factor)
+                mask |= _FIELD << s
+        return self._exact(self.vars, {e + (e & mask) * (factor - 1): c for e, c in self._packed.items()})
 
     def evaluate(self, assignment: Mapping[str, Union[int, Fraction]]) -> Fraction:
         missing = [v for v in self.vars if v not in assignment]
         if missing:
             raise KeyError(f"missing assignment for variables {missing}")
+        values = [(_SHIFTS[v], Fraction(assignment[v])) for v in self.vars]
         total = Fraction(0)
-        for exps, c in self.terms.items():
+        for e, c in self._packed.items():
             val = Fraction(c)
-            for v, e in zip(self.vars, exps):
-                if e:
-                    val *= Fraction(assignment[v]) ** e
+            for s, x in values:
+                k = e >> s & _FIELD
+                if k:
+                    val *= x**k
             total += val
         return total
 
     def derivative(self, var: str) -> "SymbolicPolynomial":
         if var not in self.vars:
             return SymbolicPolynomial.constant(0)
-        i = self.vars.index(var)
+        s = _SHIFTS[var]
+        one = 1 << s
         out = {}
-        for exps, c in self.terms.items():
-            if exps[i]:
-                key = exps[:i] + (exps[i] - 1,) + exps[i + 1:]
-                out[key] = out.get(key, 0) + c * exps[i]
-        return SymbolicPolynomial(self.vars, out)
+        for e, c in self._packed.items():
+            k = e >> s & _FIELD
+            if k:
+                out[e - one] = c * k
+        return self._new(self.vars, out)
 
     # -- division ----------------------------------------------------------
 
     def degree_in(self, var: str) -> int:
-        if var not in self.vars or not self.terms:
-            return 0 if self.terms else -1
-        i = self.vars.index(var)
-        return max(e[i] for e in self.terms)
+        if var not in self.vars or not self._packed:
+            return 0 if self._packed else -1
+        s = _SHIFTS[var]
+        return max(e >> s & _FIELD for e in self._packed)
 
     def coefficient_in(self, var: str, power: int) -> "SymbolicPolynomial":
         if var not in self.vars:
             return self if power == 0 else SymbolicPolynomial.constant(0)
-        i = self.vars.index(var)
-        names = self.vars[:i] + self.vars[i + 1:]
-        out = {}
-        for exps, c in self.terms.items():
-            if exps[i] == power:
-                out[exps[:i] + exps[i + 1:]] = c
-        return SymbolicPolynomial(names, out)
+        s = _SHIFTS[var]
+        field = _FIELD << s
+        want = power << s
+        out = {e - want: c for e, c in self._packed.items() if e & field == want}
+        return self._new(tuple(v for v in self.vars if v != var), out)
 
     def divrem(self, divisor: "SymbolicPolynomial", var: str) -> tuple["SymbolicPolynomial", "SymbolicPolynomial"]:
         """Long division in one variable, done row by row.
 
-        Both polynomials are grouped into rows by their degree in var, over
-        one aligned variable order: this polynomial's variables, then the
-        divisor's new ones.  Each head row of the remainder is divided by the
-        divisor's leading coefficient in var, which must be a constant or a
-        single signed monomial, and that quotient row times the divisor's
-        lower rows is subtracted in place from the rows below.  Every
-        monomial and integer division must be exact; otherwise
-        InexactDivision is raised.
+        Both polynomials are grouped into rows by their degree in var.  Each
+        head row of the remainder is divided by the divisor's leading
+        coefficient in var, which must be a constant or a single signed
+        monomial, and that quotient row times the divisor's lower rows is
+        subtracted in place from the rows below.  Every monomial and integer
+        division must be exact; otherwise InexactDivision is raised.
 
         The quotient lists its variables in order of first use, walking its
         rows from the highest power of var down, with each row's coefficient
-        variables (in the aligned order) before var itself.  The remainder
-        keeps the aligned order.
+        variables (this polynomial's variables, then the divisor's new ones)
+        before var itself.  The remainder keeps that aligned order.
         """
         if divisor.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
-        names, num, den = self._aligned(divisor)
+        names = self._merged(divisor)
         if var not in names:
             names += (var,)
-            num = {e + (0,): c for e, c in num.items()}
-            den = {e + (0,): c for e, c in den.items()}
-        k = names.index(var)
-        others = names[:k] + names[k + 1:]
-        rows = _rows_by_degree(num, k)
-        drows = _rows_by_degree(den, k)
+        s = _shift(var)
+        rows = _rows_by_degree(self._packed, s)
+        drows = _rows_by_degree(divisor._packed, s)
         ddeg = max(drows)
         if len(drows[ddeg]) != 1:
             raise InexactDivision("leading coefficient of divisor is not a monomial")
         ((lexp, lc),) = drows.pop(ddeg).items()
-        lower = list(drows.items())
+        lower = [(d, list(row.items())) for d, row in drows.items()]
+        # With the guard bits of lexp's fields set on e, e - lexp borrows
+        # within a field exactly where that field of e is below lexp's.
+        lguards = _or_all(1 << (i + _W - 1) for i in range(0, lexp.bit_length(), _W) if lexp >> i & _FIELD)
         quo_rows = []
         for rdeg in range(max(rows, default=-1), ddeg - 1, -1):
             head = rows.pop(rdeg, None)
             if not head:
                 continue
+            # a product below may have reached a guard bit, but never carries
+            _check_exponents(_or_all(head))
             qrow = {}
-            for exps, c in head.items():
-                key = tuple([e - f for e, f in zip(exps, lexp)])
-                if any(e < 0 for e in key):
-                    raise InexactDivision("monomial does not divide a dividend term")
+            for e, c in head.items():
+                if lexp:
+                    e = (e | lguards) - lexp
+                    if e & lguards != lguards:
+                        raise InexactDivision("monomial does not divide a dividend term")
+                    e ^= lguards
                 q, r = divmod(c, lc)
                 if r:
                     raise InexactDivision(f"{c} not divisible by {lc}")
-                qrow[key] = q
+                qrow[e] = q
             shift = rdeg - ddeg
             quo_rows.append((shift, qrow))
             for d, drow in lower:
                 target = rows.setdefault(shift + d, {})
+                get = target.get
                 for qe, qc in qrow.items():
-                    for de, dc in drow.items():
-                        key = tuple([e + f for e, f in zip(qe, de)])
-                        v = target.get(key, 0) - qc * dc
+                    for de, dc in drow:
+                        key = qe + de
+                        v = get(key, 0) - qc * dc
                         if v:
                             target[key] = v
                         else:
                             del target[key]
-        rem = {e[:k] + (d,) + e[k:]: c for d, row in rows.items() for e, c in row.items()}
+        rem = {e + (d << s): c for d, row in rows.items() for e, c in row.items()}
 
         # Printing follows this order, and printed certificates must stay
         # byte-identical from one version to the next.
+        others = [(v, _SHIFTS[v]) for v in names if v != var]
         order: list[str] = []
-        for shift, qrow in quo_rows:
-            order += [v for i, v in enumerate(others) if v not in order and any(e[i] for e in qrow)]
-            if shift and var not in order:
-                order.append(var)
-        src = [len(others) if v == var else others.index(v) for v in order]
         quo = {}
         for shift, qrow in quo_rows:
-            for exps, c in qrow.items():
-                full = exps + (shift,)
-                quo[tuple([full[i] for i in src])] = c
-        return SymbolicPolynomial(tuple(order), quo), SymbolicPolynomial(names, rem)
+            used = _or_all(qrow)
+            order += [v for v, vs in others if v not in order and used >> vs & _FIELD]
+            if shift and var not in order:
+                order.append(var)
+            base = shift << s
+            for e, c in qrow.items():
+                quo[e + base] = c
+        return self._exact(tuple(order), quo), self._new(names, rem)
 
     def exact_div(self, divisor: "SymbolicPolynomial", var: str) -> "SymbolicPolynomial":
         q, r = self.divrem(divisor, var)
@@ -682,17 +793,18 @@ class SymbolicPolynomial:
         return q
 
     def map_coefficients(self, fn) -> "SymbolicPolynomial":
-        return SymbolicPolynomial(self.vars, {e: fn(c) for e, c in self.terms.items()})
+        return self._new(self.vars, {e: v for e, c in self._packed.items() if (v := fn(c))})
 
     # -- printing ------------------------------------------------------------
 
     def __str__(self) -> str:
-        if not self.terms:
+        terms = self.terms
+        if not terms:
             return "0"
-        keys = sorted(self.terms, key=lambda e: (sum(e), e))
+        keys = sorted(terms, key=lambda e: (sum(e), e))
         parts = []
         for exps in keys:
-            c = self.terms[exps]
+            c = terms[exps]
             mag = abs(c)
             factors = []
             for v, e in zip(self.vars, exps):
@@ -716,11 +828,12 @@ class SymbolicPolynomial:
         return f"SymbolicPolynomial('{self}')"
 
 
-def _rows_by_degree(terms: Mapping[tuple[int, ...], int], k: int) -> dict[int, dict]:
-    """Group terms by their k-th exponent, dropping that exponent from the keys."""
+def _rows_by_degree(packed: Mapping[int, int], shift: int) -> dict[int, dict]:
+    """Group packed terms by the field at shift, clearing that field in the keys."""
     rows: dict[int, dict] = {}
-    for exps, c in terms.items():
-        rows.setdefault(exps[k], {})[exps[:k] + exps[k + 1:]] = c
+    for e, c in packed.items():
+        d = e >> shift & _FIELD
+        rows.setdefault(d, {})[e - (d << shift)] = c
     return rows
 
 
@@ -729,5 +842,5 @@ def to_int_poly(p: SymbolicPolynomial, var: str) -> IntPolynomial:
         raise ValueError(f"polynomial is not univariate in {var}")
     if not p.vars:
         return IntPolynomial((p.constant_value(),))
-    d = p.degree_in(var)
-    return IntPolynomial(tuple(p.terms.get((i,), 0) for i in range(d + 1)))
+    s = _SHIFTS[var]
+    return IntPolynomial(tuple(p._packed.get(i << s, 0) for i in range(p.degree_in(var) + 1)))

@@ -289,6 +289,8 @@ class LefschetzFunction:
     def chi(n: int) -> "LefschetzFunction":
         """The indicator-style function with chi(m) = n when n divides m and
         0 otherwise, realized with the n-th roots of unity as bases."""
+        if n < 1:
+            raise ValueError("chi index must be positive")
         return LefschetzFunction(
             [(Fraction(1), CyclotomicRational.root_of_unity(n, i)) for i in range(n)]
         )

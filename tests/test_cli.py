@@ -136,6 +136,35 @@ def test_malformed_json_exits_2(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (
+            ["class-sum", '{"q": "3", "weil_numerator": [1], "s_degrees": [1, 1]}', "--group", "SL:2"],
+            "q must be an integer",
+        ),
+        (
+            ["certificate", "--family", "sl-general", "--params", '{"n": 2, "r": "1"}'],
+            "r must be an integer",
+        ),
+        (
+            ["certificate", "--family", "sl-general", "--params", '{"n": 2, "d_prime": 0}'],
+            "scales must be positive",
+        ),
+        (["class-sum", P1_TWO_POINTS, "--group", "SL:2", "--base-change", "0"], "must be positive"),
+        (["class-sum", P1_TWO_POINTS, "--group", "SL:2", "--base-change", "-2"], "must be positive"),
+        (["lefschetz", "--op", "fN", "--f", "chi:0"], "chi index must be positive"),
+        (["lefschetz", "--op", "chi", "--n", "0"], "chi index must be positive"),
+        (["lefschetz", "--op", "chi", "--m-max", "-1"], "--m-max must be positive"),
+    ],
+)
+def test_bad_numbers_exit_2_with_one_line(capsys, argv, message):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and message in captured.err
+
+
 def test_budget_exceeded_exits_3(capsys):
     assert main(["census", "--group", "Sp:18", "--q", "9"]) == 3
     capsys.readouterr()

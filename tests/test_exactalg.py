@@ -4,12 +4,16 @@ Derived quantities (resultants, root-power transforms) are checked against
 independent oracles implemented here: a Sylvester-matrix determinant over
 Fraction, and explicit root-multiset products.
 """
+import sys
+import threading
+import uuid
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from motivesums import exactalg
 from motivesums.exactalg import (
     InexactDivision,
     IntPolynomial,
@@ -344,3 +348,178 @@ def test_to_int_poly_roundtrip():
     p = 1 - 2 * t + t**3
     assert to_int_poly(p, "t").coeffs == (1, -2, 0, 1)
     assert SymbolicPolynomial.from_int_poly(IntPolynomial((1, -2, 0, 1)), "t") == p
+
+
+# ---------------------------------------------------------------------------
+# packed monomials
+# ---------------------------------------------------------------------------
+
+
+def test_exponent_overflow_raises():
+    top = 2 ** (exactalg._W - 1)
+    v = SymbolicPolynomial.variable("v")
+    w = SymbolicPolynomial.variable("w")
+    highest = v ** (top - 1) * w
+    assert highest.degree_in("v") == top - 1 and highest.degree_in("w") == 1
+    half = v ** (top // 2)
+    with pytest.raises(OverflowError):
+        v**top
+    with pytest.raises(OverflowError):
+        half * half
+    with pytest.raises(OverflowError):
+        highest * (v + w)
+    with pytest.raises(OverflowError):
+        half.scale_exponents(2)
+    with pytest.raises(OverflowError):
+        (v**2).substitute({"v": half})
+    x = SymbolicPolynomial.variable("x")
+    with pytest.raises(OverflowError):
+        (x * v ** (top - 1)).divrem(x - v, "x")
+    with pytest.raises(OverflowError):
+        SymbolicPolynomial(("v",), {(top,): 1})
+
+
+def test_variable_registration_is_thread_safe():
+    prefix = uuid.uuid4().hex
+    rounds, workers = 100, 8
+    barrier = threading.Barrier(workers)
+    passed = [0] * workers
+
+    def names_of(r, i):
+        return [f"s{prefix}_{r}_{j}" for j in range(3)] + [f"t{prefix}_{r}_{i}"]
+
+    def work(i):
+        for r in range(rounds):
+            names = names_of(r, i)
+            barrier.wait(timeout=60)
+            acc = SymbolicPolynomial.constant(1)
+            for name in names:
+                acc = acc * (SymbolicPolynomial.variable(name) + 1)
+            point = {name: k + 2 for k, name in enumerate(names)}
+            passed[i] += acc.evaluate(point) == 3 * 4 * 5 * 6 and len(acc.terms) == 16
+
+    threads = [threading.Thread(target=work, args=(i,)) for i in range(workers)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert passed == [rounds] * workers
+    fresh = {name for r in range(rounds) for i in range(workers) for name in names_of(r, i)}
+    shifts = [exactalg._SHIFTS[name] for name in fresh]
+    assert len(set(shifts)) == len(shifts)
+
+
+# Differential checks: every operation against plain-integer evaluation of
+# the drawn operands at random integer points.
+
+_POOL = ("x", "y", "z", "w")
+
+
+@st.composite
+def _polys(draw, max_terms=4, max_exp=3):
+    """A (vars, {exponent tuple: coefficient}) pair over a shuffled part of the pool."""
+    names = draw(st.permutations(_POOL))[: draw(st.integers(0, len(_POOL)))]
+    exps = st.tuples(*[st.integers(0, max_exp)] * len(names))
+    terms = draw(st.dictionaries(exps, st.integers(-4, 4), max_size=max_terms))
+    return tuple(names), terms
+
+
+def _eval_terms(names, terms, point):
+    total = 0
+    for exps, c in terms.items():
+        for v, e in zip(names, exps):
+            c *= point[v] ** e
+        total += c
+    return total
+
+
+def _eval(p, point):
+    return _eval_terms(p.vars, p.terms, point)
+
+
+_POINTS = st.fixed_dictionaries({v: st.integers(-3, 3) for v in _POOL})
+
+
+@given(_polys(), _polys(), _polys(max_terms=3, max_exp=2), _POINTS, st.integers(0, 3))
+@settings(max_examples=150, deadline=None)
+def test_ring_operations_match_integer_evaluation(a, b, image, point, k):
+    p, q = SymbolicPolynomial(*a), SymbolicPolynomial(*b)
+    va, vb = _eval_terms(*a, point), _eval_terms(*b, point)
+    assert _eval(p, point) == va
+    assert _eval(p + q, point) == va + vb
+    assert _eval(p - q, point) == va - vb
+    assert _eval(p * q, point) == va * vb
+    assert _eval(p**k, point) == va**k
+    assert _eval(3 - p, point) == 3 - va and _eval(p * -2, point) == -2 * va
+    # integer and polynomial images; unmapped variables stay put
+    img = SymbolicPolynomial(*image)
+    mapping = {_POOL[0]: k - 1, _POOL[1]: img}
+    moved = dict(point, **{_POOL[0]: k - 1, _POOL[1]: _eval(img, point)})
+    assert _eval(p.substitute(mapping), point) == _eval_terms(*a, moved)
+
+
+@given(_polys(max_terms=5), _POINTS, st.sampled_from(_POOL), st.integers(0, 3), st.integers(1, 3))
+@settings(max_examples=150, deadline=None)
+def test_calculus_and_transforms_match_integer_evaluation(a, point, var, power, factor):
+    names, terms = a
+    p = SymbolicPolynomial(names, terms)
+    i = names.index(var) if var in names else None
+
+    def exp_of(exps):
+        return exps[i] if i is not None else 0
+
+    derivative = sum(
+        c * exp_of(e) * _eval_terms(names, {e[:i] + (e[i] - 1,) + e[i + 1:]: 1}, point)
+        for e, c in terms.items()
+        if exp_of(e)
+    )
+    assert _eval(p.derivative(var), point) == derivative
+    coefficient = sum(
+        _eval_terms(names, {e: c}, dict(point, **{var: 1}))
+        for e, c in terms.items()
+        if exp_of(e) == power
+    )
+    assert _eval(p.coefficient_in(var, power), point) == coefficient
+    assert _eval(p.scale_exponents(factor, [var]), point) == _eval_terms(
+        names, terms, dict(point, **{var: point[var] ** factor})
+    )
+    assert _eval(p.scale_exponents(factor), point) == _eval_terms(
+        names, terms, {v: point[v] ** factor for v in _POOL}
+    )
+
+
+@given(_polys(max_terms=6), _polys(max_terms=3), st.sampled_from(_POOL), _POINTS)
+@settings(max_examples=150, deadline=None)
+def test_divrem_identity_over_mixed_variable_orders(a, b, var, point):
+    num, den = SymbolicPolynomial(*a), SymbolicPolynomial(*b)
+    if den.is_zero():
+        return
+    try:
+        quo, rem = num.divrem(den, var)
+    except InexactDivision:
+        lead = den.coefficient_in(var, den.degree_in(var))
+        assert lead != 1 and lead != -1
+        return
+    assert quo * den + rem == num
+    assert _eval(quo, point) * _eval(den, point) + _eval(rem, point) == _eval(num, point)
+    assert rem.degree_in(var) < den.degree_in(var)
+
+
+@given(_polys(max_terms=5), st.randoms(use_true_random=False))
+@settings(max_examples=100, deadline=None)
+def test_equality_and_hash_ignore_variable_order(a, rnd):
+    names, terms = a
+    order = list(range(len(names)))
+    rnd.shuffle(order)
+    shuffled = SymbolicPolynomial(
+        tuple(names[i] for i in order), {tuple(e[i] for i in order): c for e, c in terms.items()}
+    )
+    p = SymbolicPolynomial(names, terms)
+    assert p == shuffled and hash(p) == hash(shuffled)
+    assert p + 1 != shuffled
