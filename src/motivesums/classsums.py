@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import operator
 from fractions import Fraction
 from typing import Callable, Sequence
 
@@ -31,6 +32,7 @@ from .exactalg import (
     IntPolynomial,
     InvariantError,
     SymbolicPolynomial,
+    dense_mul,
     poly_gcd,
     to_int_poly,
 )
@@ -412,7 +414,7 @@ def _count_polynomial(fn: Callable[[int], Fraction], degree_bound: int = 4):
         for j, xj in enumerate(points):
             if j == i:
                 continue
-            basis = _poly_mul_linear(basis, -xj)
+            basis = dense_mul(basis, (-xj, 1), operator.add, operator.mul)
             denom *= xi - xj
         w = Fraction(fn(xi)) / denom
         for d_idx, b in enumerate(basis):
@@ -425,15 +427,6 @@ def _count_polynomial(fn: Callable[[int], Fraction], degree_bound: int = 4):
         if Fraction(num.evaluate(extra), lcm) != Fraction(fn(extra)):
             raise ArithmeticError("count is not polynomial of the expected degree")
     return num, lcm
-
-
-def _poly_mul_linear(coeffs: list[Fraction], constant: int) -> list[Fraction]:
-    # multiply a coefficient list by (x + constant)
-    out = [Fraction(0)] * (len(coeffs) + 1)
-    for i, c in enumerate(coeffs):
-        out[i] += c * constant
-        out[i + 1] += c
-    return out
 
 
 def _rational_derivatives_at(num: IntPolynomial, den: IntPolynomial, point: int, order: int):

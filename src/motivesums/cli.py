@@ -239,7 +239,8 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.handler(args)
-    except (json.JSONDecodeError, _InputError, ValueError) as exc:
+    # an OverflowError is an exponent past the polynomial core's range
+    except (json.JSONDecodeError, _InputError, ValueError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except BudgetError as exc:

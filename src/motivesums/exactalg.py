@@ -1,8 +1,15 @@
 """
-Exact polynomial arithmetic over the integers.
+Exact polynomial arithmetic.
 
-Univariate polynomials over the integers are dense tuples of coefficients in
-ascending exponent order, so 1 - 2x + x^3 is IntPolynomial((1, -2, 0, 1)).
+Univariate polynomials are dense lists of coefficients in ascending exponent
+order, so 1 - 2x + x^3 is IntPolynomial((1, -2, 0, 1)).  One long-division
+kernel (dense_divmod) and one product routine (dense_mul) serve every dense
+univariate caller in the package: they take the coefficient ring's operations
+as arguments, so the same loops run over the integers (with exactness
+checks), the rationals and finite fields.  root_power_transform, the step
+behind base change of a Weil numerator, works through power sums and
+Newton's identities in integer arithmetic only.
+
 Multivariate polynomials are sparse: a tuple of variable names plus a map from
 packed monomials to nonzero integer coefficients.  A packed monomial is one
 integer holding a fixed-width bit field per variable name, so multiplying two
@@ -34,6 +41,72 @@ class InexactDivision(ArithmeticError):
 class InvariantError(ArithmeticError):
     """Raised when an invariant of an exact computation fails, such as two
     routes to the same count disagreeing."""
+
+
+# ---------------------------------------------------------------------------
+# dense univariate kernels over any coefficient ring
+# ---------------------------------------------------------------------------
+
+
+def dense_divmod(f, g, sub, mul, div) -> tuple[list, list]:
+    """Quotient and remainder of the coefficient sequence f by g, both in
+    ascending exponent order with g's last coefficient nonzero.
+
+    The ring enters through sub, mul and div; div(a, lc) must return the
+    quotient coefficient c with c * lc == a, or raise when there is none.
+    Each step drops the remainder's head term rather than subtracting
+    c * lc from it, since by construction the difference is zero.  Zero
+    coefficients are the falsy ones, the integer 0 stands for zero in the
+    quotient, and the remainder carries no trailing zeros.
+    """
+    rem = list(f)
+    while rem and not rem[-1]:
+        rem.pop()
+    dg = len(g) - 1
+    lc, low = g[-1], g[:-1]
+    quo = [0] * max(0, len(rem) - dg)
+    while len(rem) > dg:
+        head = div(rem.pop(), lc)
+        shift = len(rem) - dg
+        quo[shift] = head
+        rem[shift:] = map(sub, rem[shift:], map(mul, itertools.repeat(head), low))
+        while rem and not rem[-1]:
+            rem.pop()
+    return quo, rem
+
+
+def dense_mul(f, g, add, mul) -> list:
+    """Product of two coefficient sequences in ascending exponent order, with
+    the ring given by add and mul.  Falsy (zero) coefficients of f are
+    skipped and the integer 0 starts every output coefficient."""
+    if not f or not g:
+        return []
+    n = len(g)
+    out = [0] * (len(f) + n - 1)
+    for i, a in enumerate(f):
+        if a:
+            out[i : i + n] = map(add, out[i : i + n], map(mul, itertools.repeat(a), g))
+    return out
+
+
+def power_by_squaring(base, n: int, mul, one):
+    """base to the power n >= 0 by square-and-multiply, without the last,
+    unused squaring; callers check the sign of n."""
+    result = one
+    while n:
+        if n & 1:
+            result = mul(result, base)
+        n >>= 1
+        if n:
+            base = mul(base, base)
+    return result
+
+
+def _exact_int_div(a: int, b: int) -> int:
+    q, r = divmod(a, b)
+    if r:
+        raise InexactDivision(f"{a} not divisible by {b}")
+    return q
 
 
 @dataclasses.dataclass(frozen=True)
@@ -92,48 +165,21 @@ class IntPolynomial:
     def __mul__(self, other: Union[int, "IntPolynomial"]) -> "IntPolynomial":
         if isinstance(other, int):
             return IntPolynomial(c * other for c in self.coeffs)
-        out = [0] * (len(self.coeffs) + len(other.coeffs))
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] += a * b
-        return IntPolynomial(out)
+        return IntPolynomial(dense_mul(self.coeffs, other.coeffs, operator.add, operator.mul))
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "IntPolynomial":
         if n < 0:
             raise ValueError("negative power of a polynomial")
-        result = IntPolynomial((1,))
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return power_by_squaring(self, n, operator.mul, IntPolynomial((1,)))
 
     def __divmod__(self, other: "IntPolynomial") -> tuple["IntPolynomial", "IntPolynomial"]:
         """Division with integer-exact steps; raises InexactDivision when a
         leading coefficient fails to divide."""
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
-        quo: list[int] = [0] * max(0, self.degree - other.degree + 1)
-        rem = list(self.coeffs)
-        d = other.degree
-        lc = other.coeffs[-1]
-        while len(rem) - 1 >= d and any(rem):
-            while rem and rem[-1] == 0:
-                rem.pop()
-            if len(rem) - 1 < d:
-                break
-            head, r = divmod(rem[-1], lc)
-            if r:
-                raise InexactDivision(f"{rem[-1]} not divisible by {lc}")
-            shift = len(rem) - 1 - d
-            quo[shift] = head
-            for j, b in enumerate(other.coeffs):
-                rem[shift + j] -= head * b
+        quo, rem = dense_divmod(self.coeffs, other.coeffs, operator.sub, operator.mul, _exact_int_div)
         return IntPolynomial(quo), IntPolynomial(rem)
 
     def __truediv__(self, other: "IntPolynomial") -> "IntPolynomial":
@@ -283,38 +329,15 @@ def resultant(p: IntPolynomial, q: IntPolynomial) -> int:
             return s * t * res
 
 
-def _bareiss_det(m: list[list[int]]) -> int:
-    """Exact integer determinant (fraction-free Gaussian elimination)."""
-    n = len(m)
-    if n == 0:
-        return 1
-    m = [row[:] for row in m]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for i in range(k + 1, n):
-                if m[i][k] != 0:
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
-
-
 def root_power_transform(w: IntPolynomial, m: int) -> IntPolynomial:
     """Monic polynomial whose root multiset is the m-th powers of the roots
-    of the monic polynomial w; the degree is preserved.
+    of w, which must be monic up to sign; the degree is preserved.
 
-    Computed as the characteristic polynomial of the m-th power of the
-    companion matrix, recovered by exact interpolation of integer
-    determinants.
+    Newton's identities turn the coefficients of w into the power sums
+    p_1 .. p_(md) of its roots.  The power sums of the m-th powers are
+    P_k = p_(mk), and Newton's identities run backwards turn P_1 .. P_d into
+    the coefficients.  Everything is integer arithmetic; the backward step
+    divides by k, and a nonzero remainder raises InexactDivision.
     """
     if m < 1:
         raise ValueError("power must be positive")
@@ -325,63 +348,20 @@ def root_power_transform(w: IntPolynomial, m: int) -> IntPolynomial:
     if not w.is_monic():
         raise ValueError("polynomial must be monic up to sign")
     d = w.degree
-    if d == 0:
-        return IntPolynomial((1,))
-    if m == 1:
-        return w
-    comp = [[0] * d for _ in range(d)]
-    for i in range(1, d):
-        comp[i][i - 1] = 1
-    for i in range(d):
-        comp[i][d - 1] = -w.coeffs[i]
-    mat = _mat_pow(comp, m)
-    points = []
-    for x0 in range(d + 1):
-        shifted = [[(x0 if i == j else 0) - mat[i][j] for j in range(d)] for i in range(d)]
-        points.append((x0, _bareiss_det(shifted)))
-    poly = _interpolate_integer(points)
-    if poly.degree != d or not poly.is_monic():
-        raise ArithmeticError("interpolated characteristic polynomial is malformed")
-    return poly
-
-
-def _mat_pow(m: list[list[int]], e: int) -> list[list[int]]:
-    n = len(m)
-    result = [[int(i == j) for j in range(n)] for i in range(n)]
-    base = m
-    while e:
-        if e & 1:
-            result = _mat_mul(result, base)
-        base = _mat_mul(base, base)
-        e >>= 1
-    return result
-
-
-def _mat_mul(a, b):
-    n = len(a)
-    return [[sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
-
-
-def _interpolate_integer(points: list[tuple[int, int]]) -> IntPolynomial:
-    acc = [Fraction(0)] * len(points)
-    for xi, yi in points:
-        basis = [Fraction(1)]
-        denom = Fraction(1)
-        for xj, _ in points:
-            if xj == xi:
-                continue
-            basis = [Fraction(0)] + basis[:]
-            low = [-xj * c for c in basis[1:]] + [Fraction(0)]
-            basis = [a + b for a, b in zip(basis, low + [Fraction(0)] * (len(basis) - len(low)))]
-            denom *= xi - xj
-        for k, c in enumerate(basis):
-            acc[k] += yi * c / denom
-    out = []
-    for c in acc:
-        if c.denominator != 1:
-            raise ArithmeticError("interpolation produced a non-integer coefficient")
-        out.append(int(c))
-    return IntPolynomial(out)
+    # a[i] is the coefficient of x^(d-i), so a[0] == 1
+    a = w.coeffs[::-1]
+    # p[k] is the k-th power sum of the roots
+    p = [d]
+    for k in range(1, m * d + 1):
+        s = sum(a[i] * p[k - i] for i in range(1, min(k, d + 1)))
+        p.append(-s - k * a[k] if k <= d else -s)
+    b = [1]
+    for k in range(1, d + 1):
+        c, r = divmod(-sum(p[m * i] * b[k - i] for i in range(1, k + 1)), k)
+        if r:
+            raise InexactDivision(f"Newton identity step {k} is not divisible by {k}")
+        b.append(c)
+    return IntPolynomial(b[::-1])
 
 
 # ---------------------------------------------------------------------------
@@ -596,15 +576,7 @@ class SymbolicPolynomial:
     def __pow__(self, n: int) -> "SymbolicPolynomial":
         if n < 0:
             raise ValueError("negative power of a polynomial")
-        result = SymbolicPolynomial.constant(1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            n >>= 1
-            if n:
-                base = base * base
-        return result
+        return power_by_squaring(self, n, operator.mul, SymbolicPolynomial.constant(1))
 
     # -- substitution and evaluation -----------------------------------------
 

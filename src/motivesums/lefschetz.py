@@ -11,11 +11,13 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import itertools
 import math
+import operator
 from fractions import Fraction
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Union
 
-from .exactalg import cyclotomic
+from .exactalg import cyclotomic, dense_divmod, dense_mul, power_by_squaring
 
 RationalLike = Union[int, Fraction]
 
@@ -30,66 +32,19 @@ def _modulus(n: int) -> tuple[Fraction, ...]:
     return tuple(Fraction(c) for c in cyclotomic(n).coeffs)
 
 
-def _poly_trim(c: list[Fraction]) -> list[Fraction]:
-    while c and c[-1] == 0:
-        c.pop()
-    return c
-
-
-def _poly_rem(a: list[Fraction], b: Sequence[Fraction]) -> list[Fraction]:
-    a = list(a)
-    db = len(b) - 1
-    lead = b[-1]
-    while len(a) - 1 >= db and any(a):
-        _poly_trim(a)
-        if len(a) - 1 < db:
-            break
-        f = a[-1] / lead
-        shift = len(a) - 1 - db
-        for j, bc in enumerate(b):
-            a[shift + j] -= f * bc
-        a.pop()
-    return _poly_trim(a)
-
-
-def _poly_mul(a: Sequence[Fraction], b: Sequence[Fraction]) -> list[Fraction]:
-    out = [Fraction(0)] * (len(a) + len(b) - 1) if a and b else []
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return _poly_trim(out)
-
-
-def _poly_ext_gcd(a: list[Fraction], b: list[Fraction]):
+def _poly_ext_gcd(a: tuple[Fraction, ...], b: tuple[Fraction, ...]):
     """Return (g, s) with s*a = g mod b, g the monic gcd."""
-    r0, r1 = list(a), list(b)
+    r0, r1 = a, b
     s0, s1 = [Fraction(1)], []
     while r1:
-        q: list[Fraction] = [Fraction(0)] * max(0, len(r0) - len(r1) + 1)
-        rem = list(r0)
-        while len(rem) >= len(r1) and any(rem):
-            _poly_trim(rem)
-            if len(rem) < len(r1):
-                break
-            f = rem[-1] / r1[-1]
-            q[len(rem) - len(r1)] = f
-            for j, bc in enumerate(r1):
-                rem[len(rem) - len(r1) + j] -= f * bc
-            rem.pop()
-        r0, r1 = r1, _poly_trim(rem)
-        s0, s1 = s1, _poly_trim([x - y for x, y in _zip_pad(s0, _poly_mul(q, s1))])
+        q, rem = dense_divmod(r0, r1, operator.sub, operator.mul, operator.truediv)
+        r0, r1 = r1, rem
+        diff = itertools.zip_longest(s0, dense_mul(q, s1, operator.add, operator.mul), fillvalue=0)
+        s0, s1 = s1, [x - y for x, y in diff]
     if not r0:
         raise ZeroDivisionError("gcd of zero polynomials")
     lead = r0[-1]
     return [c / lead for c in r0], [c / lead for c in s0]
-
-
-def _zip_pad(a, b):
-    n = max(len(a), len(b))
-    a = list(a) + [Fraction(0)] * (n - len(a))
-    b = list(b) + [Fraction(0)] * (n - len(b))
-    return zip(a, b)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -107,7 +62,7 @@ class CyclotomicRational:
         cs = [Fraction(c) for c in coords]
         phi = _phi(conductor)
         if len(cs) > phi:
-            cs = _poly_rem(cs, _modulus(conductor))
+            cs = dense_divmod(cs, _modulus(conductor), operator.sub, operator.mul, operator.truediv)[1]
         cs += [Fraction(0)] * (phi - len(cs))
         object.__setattr__(self, "conductor", conductor)
         object.__setattr__(self, "coords", tuple(cs))
@@ -169,27 +124,19 @@ class CyclotomicRational:
         if isinstance(other, (int, Fraction)):
             return CyclotomicRational(self.conductor, tuple(c * other for c in self.coords))
         a, b = self._common(self._coerce(other))
-        return CyclotomicRational(a.conductor, _poly_mul(a.coords, b.coords))
+        return CyclotomicRational(a.conductor, dense_mul(a.coords, b.coords, operator.add, operator.mul))
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "CyclotomicRational":
         if n < 0:
             return self.inverse() ** (-n)
-        result = CyclotomicRational.from_rational(1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return power_by_squaring(self, n, operator.mul, CyclotomicRational.from_rational(1))
 
     def inverse(self) -> "CyclotomicRational":
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero")
-        mod = [Fraction(c) for c in cyclotomic(self.conductor).coeffs]
-        g, s = _poly_ext_gcd(list(self.coords), mod)
+        g, s = _poly_ext_gcd(self.coords, _modulus(self.conductor))
         if len(g) != 1:
             raise ArithmeticError("element is a zero divisor; cyclotomic modulus not coprime")
         return CyclotomicRational(self.conductor, [c / g[0] for c in s])
@@ -314,14 +261,7 @@ class LefschetzFunction:
     def __pow__(self, n: int) -> "LefschetzFunction":
         if n < 0:
             raise ValueError("negative power")
-        result = LefschetzFunction.constant(1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return power_by_squaring(self, n, operator.mul, LefschetzFunction.constant(1))
 
     def compose_scale(self, k: int) -> "LefschetzFunction":
         """The function m -> f(k*m): every base is raised to the k-th power."""

@@ -17,6 +17,7 @@ from .curves import CurveDatum, h0_det
 from .exactalg import (
     IntPolynomial,
     SymbolicPolynomial,
+    power_by_squaring,
     resultant,
     to_int_poly,
 )
@@ -128,15 +129,7 @@ def symmetric_pair_eval(
         # reduce y^2 = -w1*y - w0
         return (c0 - c2 * w0, c1 - c2 * w1)
 
-    def power(u, e):
-        acc = (Fraction(1), Fraction(0))
-        while e:
-            if e & 1:
-                acc = mul(acc, u)
-            u = mul(u, u)
-            e >>= 1
-        return acc
-
+    one = (Fraction(1), Fraction(0))
     root = (Fraction(0), Fraction(1))
     conj = (-w1, Fraction(-1))
     total = (Fraction(0), Fraction(0))
@@ -146,9 +139,9 @@ def symmetric_pair_eval(
             if not e:
                 continue
             if var == na:
-                term = mul(term, power(root, e))
+                term = mul(term, power_by_squaring(root, e, mul, one))
             elif var == nb:
-                term = mul(term, power(conj, e))
+                term = mul(term, power_by_squaring(conj, e, mul, one))
             else:
                 term = (term[0] * Fraction(assignment[var]) ** e, term[1] * Fraction(assignment[var]) ** e)
         total = (total[0] + term[0], total[1] + term[1])

@@ -11,7 +11,7 @@ import itertools
 from typing import Iterable
 
 from .classtypes import SLType, SpType, enumerate_sl_types, enumerate_sp_types
-from .exactalg import InexactDivision, InvariantError
+from .exactalg import InexactDivision, InvariantError, dense_divmod, dense_mul, power_by_squaring
 from .motives import parse_group_spec
 
 
@@ -31,25 +31,9 @@ def _is_prime(p: int) -> bool:
     return True
 
 
-def _divmod(f, g, sub, mul) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Quotient and remainder of f by the monic g, with coefficient
-    arithmetic done by sub and mul."""
-    rem = list(f)
-    dg = len(g) - 1
-    quo = [0] * max(0, len(f) - dg)
-    while len(rem) - 1 >= dg and any(rem):
-        while rem and rem[-1] == 0:
-            rem.pop()
-        if len(rem) - 1 < dg:
-            break
-        head = rem[-1]
-        shift = len(rem) - 1 - dg
-        quo[shift] = head
-        for i, c in enumerate(g):
-            rem[shift + i] = sub(rem[shift + i], mul(head, c))
-    while rem and rem[-1] == 0:
-        rem.pop()
-    return tuple(quo), tuple(rem)
+def _head(a: int, lc: int) -> int:
+    """Quotient coefficient for a monic divisor, whose lc is 1."""
+    return a
 
 
 class FiniteField:
@@ -101,7 +85,7 @@ class FiniteField:
         deg = len(poly) - 1
         for d in range(1, deg // 2 + 1):
             for digits in itertools.product(range(p), repeat=d):
-                if _divmod(poly, digits + (1,), lambda a, b: (a - b) % p, int.__mul__)[1] == ():
+                if not dense_divmod(poly, digits + (1,), lambda a, b: (a - b) % p, int.__mul__, _head)[1]:
                     return False
         return True
 
@@ -164,13 +148,9 @@ class FiniteField:
         return value
 
     def power(self, a: int, e: int) -> int:
-        acc = 1
-        while e:
-            if e & 1:
-                acc = self.mul(acc, a)
-            a = self.mul(a, a)
-            e >>= 1
-        return acc
+        if e < 0:
+            raise ValueError("negative power of a field element; use inv")
+        return power_by_squaring(a, e, self.mul, 1)
 
     def inv(self, a: int) -> int:
         if a == 0:
@@ -181,22 +161,17 @@ class FiniteField:
 
     def poly_rem(self, f: tuple[int, ...], g: tuple[int, ...]) -> tuple[int, ...]:
         """Remainder of f by monic g."""
-        return _divmod(f, g, self.sub, self.mul)[1]
+        return tuple(dense_divmod(f, g, self.sub, self.mul, _head)[1])
 
     def poly_div_exact(self, f: tuple[int, ...], g: tuple[int, ...]) -> tuple[int, ...]:
         """Quotient of f by monic g, which must divide f."""
-        quo, rem = _divmod(f, g, self.sub, self.mul)
+        quo, rem = dense_divmod(f, g, self.sub, self.mul, _head)
         if rem:
             raise InexactDivision("exact division expected")
-        return quo
+        return tuple(quo)
 
     def poly_mul(self, f: tuple[int, ...], g: tuple[int, ...]) -> tuple[int, ...]:
-        out = [0] * (len(f) + len(g) - 1)
-        for i, x in enumerate(f):
-            if x:
-                for j, y in enumerate(g):
-                    out[i + j] = self.add(out[i + j], self.mul(x, y))
-        return tuple(out)
+        return tuple(dense_mul(f, g, self.add, self.mul))
 
     def reciprocal(self, f: tuple[int, ...]) -> tuple[int, ...]:
         """Monic reversal x^deg f(1/x) / f(0); requires f(0) nonzero."""

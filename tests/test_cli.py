@@ -156,6 +156,7 @@ def test_malformed_json_exits_2(capsys):
         (["lefschetz", "--op", "fN", "--f", "chi:0"], "chi index must be positive"),
         (["lefschetz", "--op", "chi", "--n", "0"], "chi index must be positive"),
         (["lefschetz", "--op", "chi", "--m-max", "-1"], "--m-max must be positive"),
+        (["motive", '{"SL": 100000}'], "exponent reached"),
     ],
 )
 def test_bad_numbers_exit_2_with_one_line(capsys, argv, message):

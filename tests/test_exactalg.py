@@ -2,7 +2,8 @@
 
 Derived quantities (resultants, root-power transforms) are checked against
 independent oracles implemented here: a Sylvester-matrix determinant over
-Fraction, and explicit root-multiset products.
+Fraction, explicit root-multiset products, and the characteristic polynomial
+of a power of the companion matrix.
 """
 import sys
 import threading
@@ -63,6 +64,52 @@ def sylvester_resultant(p: IntPolynomial, q: IntPolynomial) -> int:
     return int(det)
 
 
+def bareiss_det(m: list[list[int]]) -> int:
+    """Exact integer determinant by fraction-free Gaussian elimination."""
+    n = len(m)
+    m = [row[:] for row in m]
+    sign, prev = 1, 1
+    for k in range(n - 1):
+        if m[k][k] == 0:
+            swap = next((i for i in range(k + 1, n) if m[i][k]), None)
+            if swap is None:
+                return 0
+            m[k], m[swap] = m[swap], m[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
+        prev = m[k][k]
+    return sign * m[n - 1][n - 1]
+
+
+def companion_root_power(w: IntPolynomial, m: int) -> IntPolynomial:
+    """The characteristic polynomial of C^m for the companion matrix C of the
+    monic w, from the d+1 determinants det(x0*I - C^m), x0 = 0..d, by
+    Lagrange interpolation over Fraction."""
+    d = w.degree
+    comp = [[int(i == j + 1) for j in range(d)] for i in range(d)]
+    for i in range(d):
+        comp[i][d - 1] = -w.coeffs[i]
+    power = [[int(i == j) for j in range(d)] for i in range(d)]
+    for _ in range(m):
+        power = [[sum(power[i][k] * comp[k][j] for k in range(d)) for j in range(d)] for i in range(d)]
+    total = [Fraction(0)] * (d + 1)
+    for x0 in range(d + 1):
+        value = bareiss_det([[int(i == j) * x0 - power[i][j] for j in range(d)] for i in range(d)])
+        basis, denom = [Fraction(1)], 1
+        for xj in range(d + 1):
+            if xj != x0:
+                # basis *= x - xj
+                basis = [(basis[i - 1] if i else 0) - xj * (basis[i] if i < len(basis) else 0)
+                         for i in range(len(basis) + 1)]
+                denom *= x0 - xj
+        for k, c in enumerate(basis):
+            total[k] += value * c / denom
+    assert all(c.denominator == 1 for c in total)
+    return IntPolynomial(int(c) for c in total)
+
+
 def product_of_linear(roots) -> IntPolynomial:
     acc = IntPolynomial((1,))
     for r in roots:
@@ -101,6 +148,28 @@ def test_int_poly_divmod_exact():
     assert q.coeffs == (1, 1, 1, 1, 1, 1)
     with pytest.raises(InexactDivision):
         divmod(IntPolynomial((1, 1)), IntPolynomial((0, 2)))
+
+
+@given(small_poly, nonzero_poly, st.lists(st.integers(-6, 6), max_size=4))
+@settings(max_examples=150, deadline=None)
+def test_int_divmod_recovers_planted_quotient(quo, g, low):
+    # any remainder of degree below g's comes back, whatever g's leading coefficient
+    planted = IntPolynomial(low[: g.degree])
+    f = quo * g + planted
+    q, r = divmod(f, g)
+    assert q * g + r == f and r.degree < g.degree
+    assert (q, r) == (quo, planted)
+
+
+@given(nonzero_poly.filter(lambda g: abs(g.leading()) > 1), st.lists(st.integers(-6, 6), max_size=4),
+       st.integers(-3, 3), st.data())
+@settings(max_examples=100, deadline=None)
+def test_int_divmod_raises_when_head_is_not_divisible(g, low, t, data):
+    lc = g.leading()
+    head = t * lc + data.draw(st.integers(1, abs(lc) - 1))
+    f = IntPolynomial(low + [0] * g.degree + [head])
+    with pytest.raises(InexactDivision):
+        divmod(f, g)
 
 
 def test_int_poly_evaluate_and_derivative():
@@ -194,6 +263,23 @@ def test_root_power_matches_explicit_roots(roots, m):
 def test_root_power_composes(roots, m1, m2):
     w = product_of_linear(roots)
     assert root_power_transform(root_power_transform(w, m1), m2) == root_power_transform(w, m1 * m2)
+
+
+monic_poly = st.lists(st.integers(-30, 30), min_size=1, max_size=8).map(lambda low: IntPolynomial(low + [1]))
+
+
+@given(monic_poly, st.integers(1, 12), st.sampled_from([1, -1]))
+@settings(max_examples=200, deadline=None)
+def test_root_power_matches_companion_matrix_route(w, m, sign):
+    assert root_power_transform(w * sign, m) == companion_root_power(w, m)
+
+
+@given(monic_poly)
+@settings(max_examples=100, deadline=None)
+def test_root_power_graeffe_identity(w):
+    # w_2(x^2) = (-1)^d w(x) w(-x)
+    w_neg = IntPolynomial(c * (-1) ** i for i, c in enumerate(w.coeffs))
+    assert root_power_transform(w, 2).substitute_power(2) == w * w_neg * (-1) ** w.degree
 
 
 def test_root_power_requires_monic():

@@ -7,7 +7,10 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from motivesums.exactalg import cyclotomic
 from motivesums.lefschetz import (
     CyclotomicRational,
     LefschetzFunction,
@@ -64,6 +67,34 @@ def test_promotion_roundtrip():
     z12 = z3.promoted(12)
     assert z12 == z3
     assert z12 * zeta(4) == zeta(12, 7)  # 1/3 + 1/4 = 7/12
+
+
+rationals = st.fractions(min_value=-4, max_value=4, max_denominator=5)
+
+
+@given(st.integers(3, 12), st.lists(rationals, max_size=5), st.lists(rationals, max_size=11))
+@settings(max_examples=150, deadline=None)
+def test_reduction_recovers_planted_remainder(n, quo, low):
+    # quo * Phi_n + rem reduces to rem whenever deg rem < phi(n)
+    modulus = cyclotomic(n).coeffs
+    phi = len(modulus) - 1
+    rem = low[:phi] + [Fraction(0)] * (phi - len(low[:phi]))
+    f = rem + [Fraction(0)] * (len(quo) + phi - len(rem))
+    for i, a in enumerate(quo):
+        for j, b in enumerate(modulus):
+            f[i + j] += a * b
+    assert CyclotomicRational(n, f).coords == tuple(rem)
+
+
+@given(st.integers(3, 12), st.lists(rationals, min_size=1, max_size=11))
+@settings(max_examples=150, deadline=None)
+def test_inverse_is_a_two_sided_inverse(n, coords):
+    x = CyclotomicRational(n, coords)
+    if x.is_zero():
+        with pytest.raises(ZeroDivisionError):
+            x.inverse()
+    else:
+        assert x * x.inverse() == 1 and x.inverse() * x == 1
 
 
 # ---------------------------------------------------------------------------

@@ -30,6 +30,7 @@ F4 = FiniteField(2, 2)
 F5 = FiniteField(5)
 F8 = FiniteField(2, 3)
 F9 = FiniteField(3, 2)
+F25 = FiniteField(5, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -118,7 +119,7 @@ def test_factor_monic_roundtrip():
 @settings(max_examples=200, deadline=None)
 @given(st.data())
 def test_poly_division_recovers_planted_quotient(data):
-    field = data.draw(st.sampled_from([F4, F9]), label="field")
+    field = data.draw(st.sampled_from([F2, F4, F9, F25]), label="field")
     element = st.integers(0, field.q - 1)
     a = tuple(data.draw(st.lists(element, max_size=4))) + (data.draw(st.integers(1, field.q - 1)),)
     g = tuple(data.draw(st.lists(element, min_size=1, max_size=4))) + (1,)
