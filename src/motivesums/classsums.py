@@ -37,7 +37,7 @@ from .exactalg import (
     to_int_poly,
 )
 from .lseries import evaluate_with_weil_roots, j_variable_names, l_value
-from .motives import parse_group_spec
+from .motives import ArtinTateMotive, parse_group_spec
 
 
 class CertificateError(ArithmeticError):
@@ -134,8 +134,10 @@ def derivative_witness(j_names: Sequence[str], k: int) -> DerivativeWitness:
 # ---------------------------------------------------------------------------
 
 
-def _vanishes_at_one(det: SymbolicPolynomial) -> bool:
-    return det.substitute({"t": 1}).is_zero()
+def _vanishes_at_one(motive: ArtinTateMotive) -> bool:
+    """Whether the Frobenius determinant vanishes identically at t = 1.  The
+    factor c(q^(w-1)) of a piece of weight w >= 2 never does, as c(0) = 1."""
+    return motive.piece_of_weight(1).evaluate(1) == 0
 
 
 def class_sum(spec, curve: CurveDatum) -> Fraction:
@@ -153,7 +155,7 @@ def class_sum(spec, curve: CurveDatum) -> Fraction:
     if kind == "SL":
         for t in enumerate_sl_types(size):
             motive = sl_centralizer_motive(t)
-            if _vanishes_at_one(motive.frobenius_det()):
+            if _vanishes_at_one(motive):
                 continue
             if len(t.pairs) != 1:
                 raise InvariantError("a multi-block type survived the t = 1 vanishing filter")
@@ -163,7 +165,7 @@ def class_sum(spec, curve: CurveDatum) -> Fraction:
             raise ValueError("Sp size must be even")
         for t in enumerate_sp_types(size // 2, q_even=q % 2 == 0, include_gl=True):
             motive = sp_centralizer_motive(t)
-            if _vanishes_at_one(motive.frobenius_det()):
+            if _vanishes_at_one(motive):
                 continue
             total += count_sp(t, q) * l_value(motive, curve)
     else:

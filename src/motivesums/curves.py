@@ -11,10 +11,12 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
-from typing import Iterable
+from typing import TYPE_CHECKING, Iterable, Iterator
 
-from .exactalg import IntPolynomial, SymbolicPolynomial, root_power_transform
-from .motives import ArtinTateMotive
+from .exactalg import IntPolynomial, SymbolicPolynomial, prime_power, root_power_transform
+
+if TYPE_CHECKING:
+    from .motives import ArtinTateMotive
 
 
 @dataclasses.dataclass(frozen=True)
@@ -27,6 +29,8 @@ class CurveDatum:
     def __init__(self, q: int, weil_numerator, s_degrees: Iterable[int], t_degrees: Iterable[int] = ()):
         if q < 2:
             raise ValueError("base field size must be at least 2")
+        # no size cap: base change takes q to q^m
+        prime_power(q)
         p = weil_numerator if isinstance(weil_numerator, IntPolynomial) else IntPolynomial(weil_numerator)
         if p.is_zero() or p.coeffs[0] != 1:
             raise ValueError("Weil numerator must have constant term 1")
@@ -98,19 +102,40 @@ def charpoly_of_power(c: IntPolynomial, e: int) -> IntPolynomial:
     return out
 
 
-def h0_det(degrees: Iterable[int], motive: ArtinTateMotive) -> SymbolicPolynomial:
-    """Frobenius determinant on global sections over the listed places.
-
-    For a place of degree e and a graded piece (d, c_d), the factor is the
-    degree-e inverse-root power of c_d evaluated at t^e * q^(e*(d-1)).
-    The result is a polynomial in t and q.
-    """
-    t = SymbolicPolynomial.variable("t")
-    q = SymbolicPolynomial.variable("q")
-    acc = SymbolicPolynomial.constant(1)
+def det_factor_terms(degrees: Iterable[int], motive: ArtinTateMotive) -> Iterator[list[tuple[int, int, int]]]:
+    """The factors of the Frobenius determinant on global sections over the
+    listed places: for a place of degree e and a piece (w, c), the terms
+    (coefficient, exponent of t, exponent of q) of c_e(t^e * q^(e*(w-1))),
+    where c_e = charpoly_of_power(c, e)."""
     for e in degrees:
         for p in motive.pieces:
-            powered = charpoly_of_power(p.charpoly, e)
-            arg = t**e * q ** (e * (p.weight - 1))
-            acc = acc * SymbolicPolynomial.from_int_poly(powered, "u").substitute({"u": arg})
+            k = e * (p.weight - 1)
+            yield [(c, i * e, i * k) for i, c in enumerate(charpoly_of_power(p.charpoly, e).coeffs) if c]
+
+
+def h0_factors(degrees: Iterable[int], motive: ArtinTateMotive) -> list[SymbolicPolynomial]:
+    """det_factor_terms as polynomials in t and q; an exponent out of range
+    raises OverflowError before anything is multiplied out."""
+    return [
+        SymbolicPolynomial(("t", "q"), {(te, qe): c for c, te, qe in terms})
+        for terms in det_factor_terms(degrees, motive)
+    ]
+
+
+def h0_det(degrees: Iterable[int], motive: ArtinTateMotive) -> SymbolicPolynomial:
+    """Frobenius determinant on global sections over the listed places."""
+    acc = SymbolicPolynomial.constant(1)
+    for factor in h0_factors(degrees, motive):
+        acc = acc * factor
+    return acc
+
+
+def h0_det_at(degrees: Iterable[int], motive: ArtinTateMotive, q: int) -> IntPolynomial:
+    """h0_det at the integer q, built in integer arithmetic."""
+    acc = IntPolynomial((1,))
+    for terms in det_factor_terms(degrees, motive):
+        coeffs = [0] * (terms[-1][1] + 1)
+        for c, te, qe in terms:
+            coeffs[te] = c * q**qe
+        acc = acc * IntPolynomial(coeffs)
     return acc

@@ -109,6 +109,19 @@ def _exact_int_div(a: int, b: int) -> int:
     return q
 
 
+def prime_power(q: int) -> tuple[int, int]:
+    """The prime p and exponent k with q = p^k; ValueError when q is not a
+    prime power.  Trial division stops at the square root of q."""
+    if q >= 2:
+        p = next((d for d in range(2, math.isqrt(q) + 1) if q % d == 0), q)
+        k = 1
+        while p**k < q:
+            k += 1
+        if p**k == q:
+            return p, k
+    raise ValueError(f"{q} is not a prime power")
+
+
 @dataclasses.dataclass(frozen=True)
 class IntPolynomial:
     coeffs: tuple[int, ...]
@@ -636,19 +649,24 @@ class SymbolicPolynomial:
         return self._exact(self.vars, {e + (e & mask) * (factor - 1): c for e, c in self._packed.items()})
 
     def evaluate(self, assignment: Mapping[str, Union[int, Fraction]]) -> Fraction:
+        """Value at the assigned integers or rationals.  Each variable's
+        powers are computed once per exponent that occurs, and the sum stays
+        in integers unless an assigned value is not one."""
         missing = [v for v in self.vars if v not in assignment]
         if missing:
             raise KeyError(f"missing assignment for variables {missing}")
-        values = [(_SHIFTS[v], Fraction(assignment[v])) for v in self.vars]
-        total = Fraction(0)
+        tables = []
+        for v in self.vars:
+            s, x = _SHIFTS[v], assignment[v]
+            x = x if isinstance(x, int) else Fraction(x)
+            tables.append((s, {k: x**k for k in {e >> s & _FIELD for e in self._packed}}))
+        total = 0
         for e, c in self._packed.items():
-            val = Fraction(c)
-            for s, x in values:
-                k = e >> s & _FIELD
-                if k:
-                    val *= x**k
-            total += val
-        return total
+            for s, powers in tables:
+                if k := e >> s & _FIELD:
+                    c *= powers[k]
+            total += c
+        return Fraction(total)
 
     def derivative(self, var: str) -> "SymbolicPolynomial":
         if var not in self.vars:

@@ -13,14 +13,8 @@ import math
 from fractions import Fraction
 from typing import Sequence
 
-from .curves import CurveDatum, h0_det
-from .exactalg import (
-    IntPolynomial,
-    SymbolicPolynomial,
-    power_by_squaring,
-    resultant,
-    to_int_poly,
-)
+from .curves import CurveDatum, h0_det, h0_det_at
+from .exactalg import IntPolynomial, SymbolicPolynomial, resultant
 from .lefschetz import CyclotomicRational, LefschetzFunction
 from .motives import ArtinTateMotive, motive_of, parse_group_spec
 
@@ -40,26 +34,19 @@ def weil_root_product(curve: CurveDatum, poly: IntPolynomial) -> int:
 
 
 def l_value(motive: ArtinTateMotive, curve: CurveDatum) -> Fraction:
-    """Exact central L-value of the motive over the curve datum."""
+    """Exact central L-value of the motive over the curve datum.  The
+    determinants are integer polynomials in t at the curve's q, and only the
+    final quotient is a Fraction."""
     q = curve.q
-    det = motive.frobenius_det()
-    det_q = to_int_poly(det.substitute({"q": q}), "t")
-
+    det_q = h0_det_at((1,), motive, q)
     f1 = weil_root_product(curve, det_q)
-
-    h0s = to_int_poly(h0_det(curve.s_degrees, motive).substitute({"q": q}), "t")
-    f2_poly = h0s / det_q
-    f2 = f2_poly.evaluate(Fraction(1))
-
+    f2 = (h0_det_at(curve.s_degrees, motive, q) / det_q).evaluate(1)
     if curve.t_degrees:
-        h0t = to_int_poly(h0_det(curve.t_degrees, motive).substitute({"q": q}), "t")
-        f3 = (h0t / det_q).evaluate(Fraction(q))
-    else:
-        denom = det_q.evaluate(Fraction(q))
-        if denom == 0:
-            raise ZeroDivisionError("weight >= 1 eigenvalues cannot hit 1 at t = q")
-        f3 = Fraction(1) / denom
-    return Fraction(f1) * f2 * f3
+        return Fraction(f1 * f2 * (h0_det_at(curve.t_degrees, motive, q) / det_q).evaluate(q))
+    denom = det_q.evaluate(q)
+    if denom == 0:
+        raise ZeroDivisionError("weight >= 1 eigenvalues cannot hit 1 at t = q")
+    return Fraction(f1 * f2, denom)
 
 
 def j_variable_names(arity: int) -> tuple[str, ...]:
@@ -113,61 +100,68 @@ def symmetric_pair_eval(
     assignment: dict | None = None,
 ) -> Fraction:
     """Evaluate a polynomial that is symmetric in a conjugate pair of
-    variables at the two roots of a monic integer quadratic, with all other
-    variables given rational values.  Works in Q[y]/(w) and requires the
-    result to be constant there."""
+    variables at the two roots r, s = -w1 - r of a monic integer quadratic
+    w = y^2 + w1*y + w0, with all other variables given integer or rational
+    values, in integer pairs a + b*y of Z[y]/(w).
+
+    Terms are grouped by their exponents (j, k) in the pair, and
+    r^j * s^k = w0^min(j, k) * r^(j-k), or w0^min(j, k) * s^(k-j) when
+    k > j, is read from one table of r^m.  The y-part must vanish, as it
+    does for a symmetric polynomial whether or not w splits; the constant
+    part is then the value.  Fractions enter only with a rational value."""
     if monic_quadratic.degree != 2 or not monic_quadratic.is_monic():
         raise ValueError("conjugate pair requires a monic quadratic")
-    w0, w1 = Fraction(monic_quadratic.coeffs[0]), Fraction(monic_quadratic.coeffs[1])
+    w0, w1 = monic_quadratic.coeffs[:2]
     assignment = assignment or {}
-    na, nb = pair
-
-    def mul(u, v):
-        c0 = u[0] * v[0]
-        c1 = u[0] * v[1] + u[1] * v[0]
-        c2 = u[1] * v[1]
-        # reduce y^2 = -w1*y - w0
-        return (c0 - c2 * w0, c1 - c2 * w1)
-
-    one = (Fraction(1), Fraction(0))
-    root = (Fraction(0), Fraction(1))
-    conj = (-w1, Fraction(-1))
-    total = (Fraction(0), Fraction(0))
-    for exps, coeff in poly.terms.items():
-        term = (Fraction(coeff), Fraction(0))
-        for var, e in zip(poly.vars, exps):
-            if not e:
-                continue
-            if var == na:
-                term = mul(term, power_by_squaring(root, e, mul, one))
-            elif var == nb:
-                term = mul(term, power_by_squaring(conj, e, mul, one))
-            else:
-                term = (term[0] * Fraction(assignment[var]) ** e, term[1] * Fraction(assignment[var]) ** e)
-        total = (total[0] + term[0], total[1] + term[1])
-    if total[1] != 0:
+    names, terms = poly.vars, poly.terms
+    ia, ib = (names.index(v) if v in names else None for v in pair)
+    tables = []
+    for i, v in enumerate(names):
+        if v not in pair:
+            x = assignment[v]
+            x = x if isinstance(x, int) else Fraction(x)
+            tables.append((i, {e: x**e for e in {exps[i] for exps in terms}}))
+    groups: dict[tuple[int, int], int] = {}
+    for exps, c in terms.items():
+        for i, powers in tables:
+            c *= powers[exps[i]]
+        jk = (0 if ia is None else exps[ia], 0 if ib is None else exps[ib])
+        groups[jk] = groups.get(jk, 0) + c
+    # r^m = a[m] + b[m]*y, r^(m+1) = -b[m]*w0 + (a[m] - b[m]*w1)*y and
+    # s^m = (a[m] - b[m]*w1) - b[m]*y
+    a, b = [1], [0]
+    for _ in range(max((abs(j - k) for j, k in groups), default=0)):
+        am, bm = a[-1], b[-1]
+        a.append(-bm * w0)
+        b.append(am - bm * w1)
+    w0_powers = {m: w0**m for m in {min(jk) for jk in groups}}
+    const = ypart = 0
+    for (j, k), c in groups.items():
+        c *= w0_powers[min(j, k)]
+        am, bm = a[abs(j - k)], b[abs(j - k)]
+        if j < k:
+            am, bm = am - bm * w1, -bm
+        const += c * am
+        ypart += c * bm
+    if ypart:
         raise ValueError("expression is not symmetric in the conjugate pair")
-    return total[0]
+    return Fraction(const)
 
 
 def evaluate_with_weil_roots(
     poly: SymbolicPolynomial, curve: CurveDatum, x_value: int, j_names: Sequence[str]
 ) -> Fraction:
     """Evaluate a polynomial in x and the J-variables at x = x_value and the
-    J-variables at the curve's Weil inverse roots, handling the rational and
-    conjugate-quadratic cases exactly."""
+    J-variables at the curve's Weil inverse roots.  Genus 0 has no
+    J-variables and evaluates in integers; for genus 1 the polynomial must
+    be symmetric in the two J-variables, and symmetric_pair_eval evaluates
+    it at the conjugate pair, whether the roots are rational or not."""
     w = curve.weil_reciprocal()
     if len(j_names) != w.degree:
         raise ValueError("arity does not match the number of Weil roots")
     if w.degree == 0:
         return poly.evaluate({"x": x_value})
     if w.degree == 2:
-        disc = w.coeffs[1] ** 2 - 4 * w.coeffs[0]
-        root = math.isqrt(abs(disc))
-        if disc >= 0 and root * root == disc:
-            r1 = Fraction(-w.coeffs[1] + root, 2)
-            r2 = Fraction(-w.coeffs[1] - root, 2)
-            return poly.evaluate({"x": x_value, j_names[0]: r1, j_names[1]: r2})
         return symmetric_pair_eval(poly, (j_names[0], j_names[1]), w, {"x": x_value})
     raise ValueError("only genus 0 and 1 evaluations are supported")
 

@@ -11,6 +11,7 @@ import dataclasses
 import json
 from typing import Union
 
+from .curves import h0_det, h0_factors
 from .exactalg import IntPolynomial, SymbolicPolynomial
 
 
@@ -24,8 +25,8 @@ class GradedPiece:
     charpoly: IntPolynomial
 
     def __post_init__(self):
-        if self.weight < 0:
-            raise ValueError("weight must be nonnegative")
+        if self.weight < 1:
+            raise ValueError("weight must be at least 1")
         if self.charpoly.is_zero() or self.charpoly.coeffs[0] != 1:
             raise ValueError("characteristic polynomial must have constant term 1")
 
@@ -86,25 +87,13 @@ class ArtinTateMotive:
 
     def frobenius_det(self) -> SymbolicPolynomial:
         """Graded Frobenius determinant: the product over pieces of
-        c_d(t * q^(d-1)) as a polynomial in t and q."""
-        t = SymbolicPolynomial.variable("t")
-        q = SymbolicPolynomial.variable("q")
-        acc = SymbolicPolynomial.constant(1)
-        for p in self.pieces:
-            arg = t * q ** (p.weight - 1)
-            acc = acc * SymbolicPolynomial.from_int_poly(p.charpoly, "u").substitute({"u": arg})
-        return acc
+        c_d(t * q^(d-1)) as a polynomial in t and q, which is the global
+        sections determinant over one place of degree 1."""
+        return h0_det((1,), self)
 
     def frobenius_det_factors(self) -> list[SymbolicPolynomial]:
         """Per-piece factors of frobenius_det, in weight order."""
-        t = SymbolicPolynomial.variable("t")
-        q = SymbolicPolynomial.variable("q")
-        return [
-            SymbolicPolynomial.from_int_poly(p.charpoly, "u").substitute(
-                {"u": t * q ** (p.weight - 1)}
-            )
-            for p in self.pieces
-        ]
+        return h0_factors((1,), self)
 
 
 GroupSpec = Union[dict, str]

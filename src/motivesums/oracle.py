@@ -11,24 +11,13 @@ import itertools
 from typing import Iterable
 
 from .classtypes import SLType, SpType, enumerate_sl_types, enumerate_sp_types
-from .exactalg import InexactDivision, InvariantError, dense_divmod, dense_mul, power_by_squaring
+from .exactalg import InexactDivision, InvariantError, dense_divmod, dense_mul, power_by_squaring, prime_power
 from .motives import parse_group_spec
 
 
 class BudgetError(RuntimeError):
     """Raised when an enumeration would exceed its budget; use the closed
     counting formulas instead."""
-
-
-def _is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
-            return False
-        d += 1
-    return True
 
 
 def _head(a: int, lc: int) -> int:
@@ -41,7 +30,7 @@ class FiniteField:
     base-p digits are the coordinates in the power basis of the modulus."""
 
     def __init__(self, p: int, k: int = 1):
-        if not _is_prime(p):
+        if prime_power(p)[1] != 1:
             raise ValueError(f"{p} is not prime")
         if k < 1 or p**k > 2**16:
             raise ValueError("field size must be a prime power at most 2^16")
@@ -58,17 +47,10 @@ class FiniteField:
     @classmethod
     def of_order(cls, q: int) -> "FiniteField":
         """The field with q elements, for a prime power q at most 2^16."""
-        # the range check keeps the factor search below short
+        # report an out-of-range size as such, before the factor search
         if not 2 <= q <= 2**16:
             raise ValueError(f"field size must be a prime power at most 2^16, got {q}")
-        p = next(d for d in range(2, q + 1) if q % d == 0)
-        k, m = 0, q
-        while m % p == 0:
-            m //= p
-            k += 1
-        if m != 1:
-            raise ValueError(f"{q} is not a prime power")
-        return cls(p, k)
+        return cls(*prime_power(q))
 
     def _first_irreducible_modulus(self) -> tuple[int, ...]:
         if self.k == 1:

@@ -7,6 +7,7 @@ import pytest
 
 from motivesums.classsums import (
     CertificateError,
+    _vanishes_at_one,
     class_sum,
     derivative_witness,
     evaluate_certificate,
@@ -16,7 +17,13 @@ from motivesums.classsums import (
     sl_script_p,
     sp_certificate,
 )
-from motivesums.classtypes import table_goldens
+from motivesums.classtypes import (
+    enumerate_sl_types,
+    enumerate_sp_types,
+    sl_centralizer_motive,
+    sp_centralizer_motive,
+    table_goldens,
+)
 from motivesums.curves import CurveDatum
 from motivesums.exactalg import IntPolynomial, SymbolicPolynomial
 from motivesums.lseries import l_value
@@ -52,6 +59,19 @@ def test_verify_sum_identity():
     assert class_sum({"SL": 4}, projective_line(3)) == 1
     assert class_sum({"Sp": 6}, projective_line(2)) == 1
     assert class_sum({"SL": 2}, projective_line(9)) == 1
+
+
+def test_vanishing_filter_matches_symbolic_determinant():
+    motives = [sl_centralizer_motive(t) for n in range(1, 7) for t in enumerate_sl_types(n)]
+    motives += [
+        sp_centralizer_motive(t)
+        for n in (1, 2, 3)
+        for q_even in (False, True)
+        for t in enumerate_sp_types(n, q_even=q_even, include_gl=True)
+    ]
+    verdicts = [_vanishes_at_one(m) for m in motives]
+    assert verdicts == [m.frobenius_det().substitute({"t": 1}).is_zero() for m in motives]
+    assert any(verdicts) and not all(verdicts)
 
 
 def test_class_sum_preconditions():

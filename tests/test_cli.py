@@ -121,10 +121,16 @@ def test_lefschetz_place_product(capsys):
     assert out.splitlines() == ["m,value", "1,0", "2,8"]
 
 
-def test_verify_tables_suite(capsys):
-    code, out = run_cli(capsys, "verify", "--suite", "tables")
-    assert code == 0
-    lines = out.strip().splitlines()
+def test_verify_tables_suite():
+    # through the package's __main__, as `python -m motivesums` from a checkout
+    proc = subprocess.run(
+        [sys.executable, "-m", "motivesums", "verify", "--suite", "tables"],
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0 and proc.stderr == ""
+    lines = proc.stdout.strip().splitlines()
     assert all(line.endswith(": PASS") for line in lines[:-1])
     assert lines[-1].endswith("passed, 0 failed")
 
@@ -157,6 +163,7 @@ def test_malformed_json_exits_2(capsys):
         (["lefschetz", "--op", "chi", "--n", "0"], "chi index must be positive"),
         (["lefschetz", "--op", "chi", "--m-max", "-1"], "--m-max must be positive"),
         (["motive", '{"SL": 100000}'], "exponent reached"),
+        (["lfun", '{"q": 6, "weil_numerator": [1], "s_degrees": [1]}', '{"SL": 2}'], "not a prime power"),
     ],
 )
 def test_bad_numbers_exit_2_with_one_line(capsys, argv, message):

@@ -34,6 +34,16 @@ def test_validation():
         CurveDatum(q=2, weil_numerator=[1], s_degrees=())
     with pytest.raises(ValueError):
         CurveDatum(q=2, weil_numerator=[1], s_degrees=(0,))
+    for q in (6, 12, 2 * 3**5, 101 * 103):
+        with pytest.raises(ValueError, match="not a prime power"):
+            CurveDatum(q=q, weil_numerator=[1], s_degrees=(1,))
+
+
+def test_prime_power_fields_beyond_the_oracle_range():
+    # base change leaves the oracle's 2^16 range behind
+    assert projective_line(3).base_change(12).q == 3**12
+    assert CurveDatum(q=2**31 - 1, weil_numerator=[1], s_degrees=(1,)).q == 2**31 - 1
+    assert CurveDatum(q=65537**2, weil_numerator=[1], s_degrees=(1,)).q == 65537**2
 
 
 def test_base_change_elliptic():

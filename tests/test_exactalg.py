@@ -538,6 +538,9 @@ def test_ring_operations_match_integer_evaluation(a, b, image, point, k):
     p, q = SymbolicPolynomial(*a), SymbolicPolynomial(*b)
     va, vb = _eval_terms(*a, point), _eval_terms(*b, point)
     assert _eval(p, point) == va
+    assert p.evaluate(point) == va
+    halves = {v: Fraction(c, 2) for v, c in point.items()}
+    assert p.evaluate(halves) == _eval_terms(*a, halves)
     assert _eval(p + q, point) == va + vb
     assert _eval(p - q, point) == va - vb
     assert _eval(p * q, point) == va * vb

@@ -1,10 +1,13 @@
 """Tests for L-values, the base-change polynomial, and exponential fits."""
+import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from motivesums.curves import CurveDatum
-from motivesums.exactalg import IntPolynomial, SymbolicPolynomial
+from motivesums.curves import CurveDatum, h0_det
+from motivesums.exactalg import IntPolynomial, SymbolicPolynomial, power_by_squaring, to_int_poly
 from motivesums.lefschetz import CyclotomicRational, LefschetzFunction
 from motivesums.lseries import (
     NotPolynomial,
@@ -14,6 +17,7 @@ from motivesums.lseries import (
     lefschetz_fit,
     multiplicity_sum,
     symmetric_pair_eval,
+    weil_root_product,
     z_polynomial,
 )
 from motivesums.motives import motive_of
@@ -71,6 +75,44 @@ def test_l_value_with_weil_roots():
     # F1 = (1 - a*2)(1 - b*2) = 1 - 2(a+b) + 4ab = 7; F2 = 1; F3 = 1/(1 - 8)... times h0 quotient
     # S = T = {1}: F2 and F3 quotients are 1, so value = F1 = 7
     assert l_value(m, curve) == 7
+
+
+def _l_value_reference(motive, curve):
+    """The symbolic route: determinants in t and q, with q substituted
+    afterwards and the evaluations done in Fractions."""
+    q = curve.q
+
+    def det_at_q(degrees):
+        return to_int_poly(h0_det(degrees, motive).substitute({"q": q}), "t")
+
+    det_q = det_at_q((1,))
+    value = Fraction(weil_root_product(curve, det_q))
+    value *= (det_at_q(curve.s_degrees) / det_q).evaluate(Fraction(1))
+    if curve.t_degrees:
+        return value * (det_at_q(curve.t_degrees) / det_q).evaluate(Fraction(q))
+    return value / det_q.evaluate(Fraction(q))
+
+
+# every group shape of the benchmark's lvalues workload
+ALL_GROUPS = (
+    [{"SL": n} for n in range(2, 7)]
+    + [{"Sp": 4}, {"Sp": 6}, {"GL": 2}, {"GL": 3}, {"U": 2}, {"U": 3}]
+    + [{"Res": [2, {"U": 2}]}, {"Res": [2, {"GL": 2}]}, {"Res": [3, {"SL": 2}]}]
+)
+PLACE_SHAPES = [((1, 1), ()), ((1,), (1,)), ((1, 2), (1,)), ((2, 3), (2,)), ((3,), ())]
+
+
+@pytest.mark.parametrize("spec", ALL_GROUPS, ids=str)
+def test_l_value_matches_symbolic_route(spec):
+    motive = motive_of(spec)
+    for q in (2, 3, 4, 5, 7, 8, 9):
+        # genus 0, and genus 1 with the extreme traces of the Weil bound
+        bound = math.isqrt(4 * q)
+        for weil in ([1], [1, -bound, q], [1, bound, q]):
+            for m in (1, 2, 3):
+                for s, t in PLACE_SHAPES:
+                    curve = CurveDatum(q, weil, s, t).base_change(m)
+                    assert l_value(motive, curve) == _l_value_reference(motive, curve), (q, weil, m, s, t)
 
 
 # ---------------------------------------------------------------------------
@@ -141,9 +183,88 @@ def test_symmetric_pair_eval_elementary():
 def test_symmetric_pair_eval_rejects_asymmetric():
     a = SymbolicPolynomial.variable("a")
     b = SymbolicPolynomial.variable("b")
-    w = IntPolynomial((2, -1, 1))
+    x = SymbolicPolynomial.variable("x")
+    # irreducible, split, and with a double root
+    for w in (IntPolynomial((2, -1, 1)), IntPolynomial((2, -3, 1)), IntPolynomial((4, -4, 1))):
+        with pytest.raises(ValueError):
+            symmetric_pair_eval(a - b, ("a", "b"), w)
+        with pytest.raises(ValueError):
+            symmetric_pair_eval(a - b + x, ("a", "b"), w, {"x": 3})
+    split = CurveDatum(q=4, weil_numerator=[1, -4, 4], s_degrees=(1, 1))
     with pytest.raises(ValueError):
-        symmetric_pair_eval(a - b, ("a", "b"), w)
+        evaluate_with_weil_roots(a - b + x, split, 4, ("a", "b"))
+
+
+def _pair_eval_reference(poly, pair, monic_quadratic, assignment=None):
+    """Fraction arithmetic in Q[y]/(w), every power of a root taken afresh
+    for every term."""
+    w0, w1 = Fraction(monic_quadratic.coeffs[0]), Fraction(monic_quadratic.coeffs[1])
+    assignment = assignment or {}
+    na, nb = pair
+
+    def mul(u, v):
+        c0 = u[0] * v[0]
+        c1 = u[0] * v[1] + u[1] * v[0]
+        c2 = u[1] * v[1]
+        # reduce y^2 = -w1*y - w0
+        return (c0 - c2 * w0, c1 - c2 * w1)
+
+    one = (Fraction(1), Fraction(0))
+    root = (Fraction(0), Fraction(1))
+    conj = (-w1, Fraction(-1))
+    total = (Fraction(0), Fraction(0))
+    for exps, coeff in poly.terms.items():
+        term = (Fraction(coeff), Fraction(0))
+        for var, e in zip(poly.vars, exps):
+            if not e:
+                continue
+            if var == na:
+                term = mul(term, power_by_squaring(root, e, mul, one))
+            elif var == nb:
+                term = mul(term, power_by_squaring(conj, e, mul, one))
+            else:
+                term = (term[0] * Fraction(assignment[var]) ** e, term[1] * Fraction(assignment[var]) ** e)
+        total = (total[0] + term[0], total[1] + term[1])
+    if total[1] != 0:
+        raise ValueError("expression is not symmetric in the conjugate pair")
+    return total[0]
+
+
+@st.composite
+def _symmetric_polys(draw):
+    """Sums of c * x^i * (a + b)^j * (a*b)^k."""
+    a, b, x = (SymbolicPolynomial.variable(v) for v in "abx")
+    acc = SymbolicPolynomial.constant(0)
+    for c, i, j, k in draw(
+        st.lists(st.tuples(st.integers(-5, 5), st.integers(0, 2), st.integers(0, 5), st.integers(0, 3)), max_size=5)
+    ):
+        acc = acc + c * x**i * (a + b) ** j * (a * b) ** k
+    return acc
+
+
+# y^2 + w1*y + w0: any, split with distinct roots, or with a double root
+_MONIC_QUADRATICS = st.one_of(
+    st.tuples(st.integers(-9, 9), st.integers(-9, 9)).map(lambda c: IntPolynomial(c + (1,))),
+    st.tuples(st.integers(-5, 5), st.integers(-5, 5)).map(lambda r: IntPolynomial((r[0] * r[1], -r[0] - r[1], 1))),
+    st.integers(-5, 5).map(lambda r: IntPolynomial((r * r, -2 * r, 1))),
+)
+
+
+@given(
+    _symmetric_polys(),
+    _MONIC_QUADRATICS,
+    st.one_of(st.integers(-4, 4), st.fractions(min_value=-3, max_value=3, max_denominator=5)),
+)
+@settings(max_examples=300, deadline=None)
+def test_symmetric_pair_eval_matches_fraction_reference(poly, w, x):
+    value = symmetric_pair_eval(poly, ("a", "b"), w, {"x": x})
+    assert value == _pair_eval_reference(poly, ("a", "b"), w, {"x": x})
+    w0, w1 = w.coeffs[0], w.coeffs[1]
+    disc = w1 * w1 - 4 * w0
+    root = math.isqrt(max(disc, 0))
+    if root * root == disc:
+        r1, r2 = (-w1 + root) // 2, (-w1 - root) // 2
+        assert value == poly.evaluate({"x": x, "a": r1, "b": r2})
 
 
 def test_symmetric_pair_eval_with_extra_vars():

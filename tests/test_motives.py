@@ -110,6 +110,8 @@ def test_graded_piece_validation():
         GradedPiece(1, IntPolynomial((2, 1)))
     with pytest.raises(ValueError):
         GradedPiece(-1, IntPolynomial((1,)))
+    with pytest.raises(ValueError):
+        GradedPiece(0, IntPolynomial((1, -1)))
 
 
 def test_bad_specs_rejected():
