@@ -36,6 +36,9 @@ class CurveDatum:
             raise ValueError("Weil numerator must have constant term 1")
         if p.degree % 2:
             raise ValueError("Weil numerator must have even degree")
+        g = p.degree // 2
+        if any(p.coeffs[2 * g - i] != q ** (g - i) * p.coeffs[i] for i in range(g)):
+            raise ValueError("Weil numerator breaks the functional equation P(t) = q^g t^(2g) P(1/(qt))")
         s = tuple(s_degrees)
         t = tuple(t_degrees)
         if not s:
@@ -113,19 +116,20 @@ def det_factor_terms(degrees: Iterable[int], motive: ArtinTateMotive) -> Iterato
             yield [(c, i * e, i * k) for i, c in enumerate(charpoly_of_power(p.charpoly, e).coeffs) if c]
 
 
-def h0_factors(degrees: Iterable[int], motive: ArtinTateMotive) -> list[SymbolicPolynomial]:
-    """det_factor_terms as polynomials in t and q; an exponent out of range
-    raises OverflowError before anything is multiplied out."""
+def h0_factors(degrees: Iterable[int], motive: ArtinTateMotive, t="t", q="q") -> list[SymbolicPolynomial]:
+    """det_factor_terms as polynomials in the variables named t and q; an
+    exponent out of range raises OverflowError before anything is multiplied."""
     return [
-        SymbolicPolynomial(("t", "q"), {(te, qe): c for c, te, qe in terms})
+        SymbolicPolynomial((t, q), {(te, qe): c for c, te, qe in terms})
         for terms in det_factor_terms(degrees, motive)
     ]
 
 
-def h0_det(degrees: Iterable[int], motive: ArtinTateMotive) -> SymbolicPolynomial:
-    """Frobenius determinant on global sections over the listed places."""
+def h0_det(degrees: Iterable[int], motive: ArtinTateMotive, t="t", q="q") -> SymbolicPolynomial:
+    """Frobenius determinant on global sections over the listed places, in
+    the variables named t and q."""
     acc = SymbolicPolynomial.constant(1)
-    for factor in h0_factors(degrees, motive):
+    for factor in h0_factors(degrees, motive, t, q):
         acc = acc * factor
     return acc
 

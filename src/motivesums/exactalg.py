@@ -109,16 +109,51 @@ def _exact_int_div(a: int, b: int) -> int:
     return q
 
 
+def monic_head(a, lc):
+    """dense_divmod's quotient coefficient for a monic divisor, whose lc is 1."""
+    return a
+
+
+# Miller-Rabin over the prime bases 2..41: a witness proves composite at any
+# size, and passing every base proves prime below MR_BOUND (Sorenson &
+# Webster, Math. Comp. 86 (2017)); above it _is_prime raises ValueError.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+MR_BOUND = 3_317_044_064_679_887_385_961_981
+
+
+def _iroot(q: int, k: int) -> int:
+    """The integer k-th root of q >= 1, by Newton's method from above."""
+    x = 1 << -(-q.bit_length() // k)
+    while True:
+        y = ((k - 1) * x + q // x ** (k - 1)) // k
+        if y >= x:
+            return x
+        x = y
+
+
+def _is_prime(r: int) -> bool:
+    if r < 2 or any(r % b == 0 for b in _MR_BASES):
+        return r in _MR_BASES
+    s = ((r - 1) & (1 - r)).bit_length() - 1  # r - 1 = d * 2^s with d odd
+    d = (r - 1) >> s
+    if not all(pow(b, d, r) == 1 or any(pow(b, d << i, r) == r - 1 for i in range(s)) for b in _MR_BASES):
+        return False
+    if r >= MR_BOUND:
+        raise ValueError(f"cannot decide whether {r} is prime: the test stops at {MR_BOUND}")
+    return True
+
+
 def prime_power(q: int) -> tuple[int, int]:
     """The prime p and exponent k with q = p^k; ValueError when q is not a
-    prime power.  Trial division stops at the square root of q."""
-    if q >= 2:
-        p = next((d for d in range(2, math.isqrt(q) + 1) if q % d == 0), q)
-        k = 1
-        while p**k < q:
-            k += 1
-        if p**k == q:
-            return p, k
+    prime power.  The largest k with q a perfect k-th power is found by
+    integer roots, and its root is tested by deterministic Miller-Rabin, which
+    raises ValueError for a probable prime root of MR_BOUND or more."""
+    for k in range(max(q, 1).bit_length() - 1, 0, -1):
+        r = _iroot(q, k)
+        if r**k == q:
+            if _is_prime(r):
+                return r, k
+            break
     raise ValueError(f"{q} is not a prime power")
 
 

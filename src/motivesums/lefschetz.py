@@ -3,33 +3,23 @@
 A Lefschetz-type function is a finite sum m -> sum_i n_i * alpha_i^m with
 rational coefficients n_i and bases alpha_i lying in some cyclotomic field
 extended by rational scalars.  The algebra here keeps everything exact:
-bases are elements of Q(zeta_N) in the power basis modulo the N-th
-cyclotomic polynomial, so equality, products, inverses, and coordinate-wise
-integer divisibility are all decidable.
+a base is an element of Q(zeta_N) held as integer coordinates over the power
+basis modulo the N-th cyclotomic polynomial, with one positive common
+denominator, so products and sums run in integer arithmetic and equality,
+inverses and coordinate-wise integer divisibility are all decidable.
 """
 from __future__ import annotations
 
 import dataclasses
-import functools
 import itertools
 import math
 import operator
 from fractions import Fraction
 from typing import Iterable, Union
 
-from .exactalg import cyclotomic, dense_divmod, dense_mul, power_by_squaring
+from .exactalg import cyclotomic, dense_divmod, dense_mul, monic_head, power_by_squaring
 
 RationalLike = Union[int, Fraction]
-
-
-@functools.cache
-def _phi(n: int) -> int:
-    return sum(1 for k in range(1, n + 1) if math.gcd(k, n) == 1)
-
-
-@functools.cache
-def _modulus(n: int) -> tuple[Fraction, ...]:
-    return tuple(Fraction(c) for c in cyclotomic(n).coeffs)
 
 
 def _poly_ext_gcd(a: tuple[Fraction, ...], b: tuple[Fraction, ...]):
@@ -49,34 +39,47 @@ def _poly_ext_gcd(a: tuple[Fraction, ...], b: tuple[Fraction, ...]):
 
 @dataclasses.dataclass(frozen=True)
 class CyclotomicRational:
-    """Element of Q(zeta_n) in coordinates over the power basis
-    1, zeta, ..., zeta^(phi(n)-1), reduced modulo the n-th cyclotomic
-    polynomial."""
+    """Element num/den of Q(zeta_n): num holds integer coordinates over the
+    power basis 1, zeta, ..., zeta^(phi(n)-1), reduced modulo the n-th
+    cyclotomic polynomial, and den > 0 is one common denominator with
+    gcd(den, *num) == 1.  The pair is unique, so at a common conductor
+    equality is tuple equality.  Only inverse leaves the integers, for its
+    extended gcd over Q."""
 
     conductor: int
-    coords: tuple[Fraction, ...]
+    num: tuple[int, ...]
+    den: int
 
-    def __init__(self, conductor: int, coords: Iterable[RationalLike]):
-        if conductor < 1:
-            raise ValueError("conductor must be positive")
-        cs = [Fraction(c) for c in coords]
-        phi = _phi(conductor)
-        if len(cs) > phi:
-            cs = dense_divmod(cs, _modulus(conductor), operator.sub, operator.mul, operator.truediv)[1]
-        cs += [Fraction(0)] * (phi - len(cs))
+    def __init__(self, conductor: int, num: Iterable[int], den: int = 1):
+        if conductor < 1 or den < 1:
+            raise ValueError("conductor and denominator must be positive")
+        modulus = cyclotomic(conductor).coeffs
+        phi = len(modulus) - 1
+        num = list(num)
+        if len(num) > phi:
+            num = dense_divmod(num, modulus, operator.sub, operator.mul, monic_head)[1]
+        g = math.gcd(den, *num)
+        if g != 1:
+            num = [c // g for c in num]
         object.__setattr__(self, "conductor", conductor)
-        object.__setattr__(self, "coords", tuple(cs))
+        object.__setattr__(self, "num", tuple(num) + (0,) * (phi - len(num)))
+        object.__setattr__(self, "den", den // g)
+
+    @property
+    def coords(self) -> tuple[Fraction, ...]:
+        """The power-basis coordinates as Fractions (a read-only view)."""
+        return tuple(Fraction(c, self.den) for c in self.num)
 
     # -- constructors ------------------------------------------------------
 
     @staticmethod
     def from_rational(v: RationalLike) -> "CyclotomicRational":
-        return CyclotomicRational(1, (Fraction(v),))
+        v = Fraction(v)
+        return CyclotomicRational(1, (v.numerator,), v.denominator)
 
     @staticmethod
     def root_of_unity(n: int, k: int = 1) -> "CyclotomicRational":
-        k %= n
-        return CyclotomicRational(n, tuple(Fraction(int(i == k)) for i in range(k + 1)))
+        return CyclotomicRational(n, [0] * (k % n) + [1])
 
     # -- coercion ------------------------------------------------------------
 
@@ -94,10 +97,9 @@ class CyclotomicRational:
         if target == self.conductor:
             return self
         step = target // self.conductor
-        out = [Fraction(0)] * ((len(self.coords) - 1) * step + 1)
-        for i, c in enumerate(self.coords):
-            out[i * step] = c
-        return CyclotomicRational(target, out)
+        out = [0] * ((len(self.num) - 1) * step + 1)
+        out[::step] = self.num
+        return CyclotomicRational(target, out, self.den)
 
     def _common(self, other: "CyclotomicRational"):
         n = math.lcm(self.conductor, other.conductor)
@@ -107,12 +109,13 @@ class CyclotomicRational:
 
     def __add__(self, other) -> "CyclotomicRational":
         a, b = self._common(self._coerce(other))
-        return CyclotomicRational(a.conductor, tuple(x + y for x, y in zip(a.coords, b.coords)))
+        num = [x * b.den + y * a.den for x, y in zip(a.num, b.num)]
+        return CyclotomicRational(a.conductor, num, a.den * b.den)
 
     __radd__ = __add__
 
     def __neg__(self) -> "CyclotomicRational":
-        return CyclotomicRational(self.conductor, tuple(-c for c in self.coords))
+        return CyclotomicRational(self.conductor, [-c for c in self.num], self.den)
 
     def __sub__(self, other) -> "CyclotomicRational":
         return self + (-self._coerce(other))
@@ -122,9 +125,11 @@ class CyclotomicRational:
 
     def __mul__(self, other) -> "CyclotomicRational":
         if isinstance(other, (int, Fraction)):
-            return CyclotomicRational(self.conductor, tuple(c * other for c in self.coords))
+            other = Fraction(other)
+            num = [c * other.numerator for c in self.num]
+            return CyclotomicRational(self.conductor, num, self.den * other.denominator)
         a, b = self._common(self._coerce(other))
-        return CyclotomicRational(a.conductor, dense_mul(a.coords, b.coords, operator.add, operator.mul))
+        return CyclotomicRational(a.conductor, dense_mul(a.num, b.num, operator.add, operator.mul), a.den * b.den)
 
     __rmul__ = __mul__
 
@@ -136,10 +141,14 @@ class CyclotomicRational:
     def inverse(self) -> "CyclotomicRational":
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero")
-        g, s = _poly_ext_gcd(self.coords, _modulus(self.conductor))
+        modulus = cyclotomic(self.conductor).coeffs
+        g, s = _poly_ext_gcd([Fraction(c) for c in self.num], [Fraction(c) for c in modulus])
         if len(g) != 1:
             raise ArithmeticError("element is a zero divisor; cyclotomic modulus not coprime")
-        return CyclotomicRational(self.conductor, [c / g[0] for c in s])
+        # s * num = 1 modulo Phi_n, so (num/den)^-1 = den * s
+        s = [c * self.den for c in s]
+        den = math.lcm(*(c.denominator for c in s))
+        return CyclotomicRational(self.conductor, [int(c * den) for c in s], den)
 
     def __truediv__(self, other) -> "CyclotomicRational":
         return self * self._coerce(other).inverse()
@@ -150,37 +159,35 @@ class CyclotomicRational:
         if not isinstance(other, CyclotomicRational):
             return NotImplemented
         a, b = self._common(other)
-        return a.coords == b.coords
+        return a.num == b.num and a.den == b.den
 
     def __hash__(self):
-        return hash(self.as_rational()) if self.is_rational() else hash((self.conductor, self.coords))
+        return hash(self.as_rational()) if self.is_rational() else hash((self.conductor, self.num, self.den))
 
     # -- predicates -----------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coords)
+        return not any(self.num)
 
     def is_rational(self) -> bool:
-        return all(c == 0 for c in self.coords[1:])
+        return not any(self.num[1:])
 
     def as_rational(self) -> Fraction:
         if not self.is_rational():
             raise ValueError("element is not rational")
-        return self.coords[0]
+        return Fraction(self.num[0], self.den)
 
     def is_integral(self) -> bool:
         """True when all power-basis coordinates are integers (the power
         basis is an integral basis for cyclotomic fields)."""
-        return all(c.denominator == 1 for c in self.coords)
+        return self.den == 1
 
     def divided_exactly(self, k: int) -> "CyclotomicRational":
         """Divide by the integer k, asserting coordinate-wise divisibility."""
-        out = []
-        for c in self.coords:
-            if c.denominator != 1 or c.numerator % k:
-                raise ArithmeticError(f"coordinate {c} not divisible by {k}")
-            out.append(Fraction(c.numerator // k))
-        return CyclotomicRational(self.conductor, out)
+        if self.den != 1 or any(c % k for c in self.num):
+            bad = next(c for c in self.coords if c.denominator != 1 or c.numerator % k)
+            raise ArithmeticError(f"coordinate {bad} not divisible by {k}")
+        return CyclotomicRational(self.conductor, [c // k for c in self.num])
 
     def __str__(self) -> str:
         if self.is_rational():
@@ -210,9 +217,10 @@ class LefschetzFunction:
         pending = [(Fraction(c), b) for c, b in terms]
         pending = [(c, b) for c, b in pending if c != 0 and not b.is_zero()]
         common = math.lcm(*(b.conductor for _, b in pending)) if pending else 1
-        merged: dict[tuple[Fraction, ...], tuple[Fraction, CyclotomicRational]] = {}
+        merged: dict[tuple[tuple[int, ...], int], tuple[Fraction, CyclotomicRational]] = {}
         for coeff, base in pending:
-            key = base.promoted(common).coords
+            promoted = base.promoted(common)
+            key = promoted.num, promoted.den
             if key in merged:
                 c0, b0 = merged[key]
                 merged[key] = (c0 + coeff, b0)

@@ -60,26 +60,27 @@ def z_polynomial(
     inverse roots by symbolic variables a1..ar; integral whenever both place
     lists are nonempty.
 
+    The determinants are built directly in x (and, for the Weil-root
+    product, in a_i for t) by h0_det, so the only substitutions are the
+    evaluations of the two quotients at t = 1 and t = x.
+
     Raises NotPolynomial when the twisting list is empty and the value is
     genuinely rational.
     """
-    x = SymbolicPolynomial.variable("x")
-    det = motive.frobenius_det()
-    det_x = det.substitute({"q": x})
+    det_x = h0_det((1,), motive, q="x")
 
     f1 = SymbolicPolynomial.constant(1)
     for name in j_variable_names(symbolic_j):
-        a = SymbolicPolynomial.variable(name)
-        f1 = f1 * det.substitute({"q": x, "t": a})
+        f1 = f1 * h0_det((1,), motive, t=name, q="x")
 
-    h0s = h0_det(curve.s_degrees, motive).substitute({"q": x})
+    h0s = h0_det(curve.s_degrees, motive, q="x")
     quo_s = h0s.exact_div(det_x, "t") if not det_x.is_constant() else _const_div(h0s, det_x)
     f2 = quo_s.substitute({"t": 1})
 
     if curve.t_degrees:
-        h0t = h0_det(curve.t_degrees, motive).substitute({"q": x})
+        h0t = h0_det(curve.t_degrees, motive, q="x")
         quo_t = h0t.exact_div(det_x, "t") if not det_x.is_constant() else _const_div(h0t, det_x)
-        f3 = quo_t.substitute({"t": x})
+        f3 = quo_t.substitute({"t": SymbolicPolynomial.variable("x")})
     elif det_x == 1:
         f3 = SymbolicPolynomial.constant(1)
     else:

@@ -11,18 +11,14 @@ import itertools
 from typing import Iterable
 
 from .classtypes import SLType, SpType, enumerate_sl_types, enumerate_sp_types
-from .exactalg import InexactDivision, InvariantError, dense_divmod, dense_mul, power_by_squaring, prime_power
+from .exactalg import InexactDivision, InvariantError, dense_divmod, dense_mul, monic_head
+from .exactalg import power_by_squaring, prime_power
 from .motives import parse_group_spec
 
 
 class BudgetError(RuntimeError):
     """Raised when an enumeration would exceed its budget; use the closed
     counting formulas instead."""
-
-
-def _head(a: int, lc: int) -> int:
-    """Quotient coefficient for a monic divisor, whose lc is 1."""
-    return a
 
 
 class FiniteField:
@@ -67,7 +63,7 @@ class FiniteField:
         deg = len(poly) - 1
         for d in range(1, deg // 2 + 1):
             for digits in itertools.product(range(p), repeat=d):
-                if not dense_divmod(poly, digits + (1,), lambda a, b: (a - b) % p, int.__mul__, _head)[1]:
+                if not dense_divmod(poly, digits + (1,), lambda a, b: (a - b) % p, int.__mul__, monic_head)[1]:
                     return False
         return True
 
@@ -143,11 +139,11 @@ class FiniteField:
 
     def poly_rem(self, f: tuple[int, ...], g: tuple[int, ...]) -> tuple[int, ...]:
         """Remainder of f by monic g."""
-        return tuple(dense_divmod(f, g, self.sub, self.mul, _head)[1])
+        return tuple(dense_divmod(f, g, self.sub, self.mul, monic_head)[1])
 
     def poly_div_exact(self, f: tuple[int, ...], g: tuple[int, ...]) -> tuple[int, ...]:
         """Quotient of f by monic g, which must divide f."""
-        quo, rem = dense_divmod(f, g, self.sub, self.mul, _head)
+        quo, rem = dense_divmod(f, g, self.sub, self.mul, monic_head)
         if rem:
             raise InexactDivision("exact division expected")
         return tuple(quo)

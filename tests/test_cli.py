@@ -164,6 +164,8 @@ def test_malformed_json_exits_2(capsys):
         (["lefschetz", "--op", "chi", "--m-max", "-1"], "--m-max must be positive"),
         (["motive", '{"SL": 100000}'], "exponent reached"),
         (["lfun", '{"q": 6, "weil_numerator": [1], "s_degrees": [1]}', '{"SL": 2}'], "not a prime power"),
+        (["lfun", '{"q": 2, "weil_numerator": [1, 0, 3], "s_degrees": [1]}', '{"SL": 2}'], "functional equation"),
+        (["lfun", f'{{"q": {2**89 - 1}, "weil_numerator": [1], "s_degrees": [1]}}', '{"SL": 2}'], "stops at"),
     ],
 )
 def test_bad_numbers_exit_2_with_one_line(capsys, argv, message):

@@ -39,6 +39,16 @@ def test_validation():
             CurveDatum(q=q, weil_numerator=[1], s_degrees=(1,))
 
 
+def test_functional_equation_is_checked():
+    # p_(2g-i) = q^(g-i) * p_i: genus 1 needs leading coefficient q, genus 2
+    # also p_3 = q * p_1
+    for q, weil in ((2, [1, 0, 3]), (3, [1, -1, 2]), (2, [1, 1, 0, 1, 4]), (2, [1, 1, 0, 3, 4])):
+        with pytest.raises(ValueError, match="functional equation"):
+            CurveDatum(q=q, weil_numerator=weil, s_degrees=(1,))
+    genus2 = CurveDatum(q=2, weil_numerator=[1, 1, 0, 2, 4], s_degrees=(1,))
+    assert genus2.base_change(3).weil_numerator.coeffs[4] == 64
+
+
 def test_prime_power_fields_beyond_the_oracle_range():
     # base change leaves the oracle's 2^16 range behind
     assert projective_line(3).base_change(12).q == 3**12

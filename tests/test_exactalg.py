@@ -7,6 +7,7 @@ of a power of the companion matrix.
 """
 import sys
 import threading
+import time
 import uuid
 from fractions import Fraction
 
@@ -21,6 +22,7 @@ from motivesums.exactalg import (
     SymbolicPolynomial,
     cyclotomic,
     poly_gcd,
+    prime_power,
     resultant,
     root_power_transform,
     to_int_poly,
@@ -183,6 +185,52 @@ def test_reverse_and_power_substitution():
     p = IntPolynomial((1, -1, 2))
     assert p.reversed_coeffs().coeffs == (2, -1, 1)
     assert p.substitute_power(2).coeffs == (1, 0, -1, 0, 2)
+
+
+# ---------------------------------------------------------------------------
+# prime powers
+# ---------------------------------------------------------------------------
+
+
+def test_prime_power_matches_trial_division_up_to_2_16():
+    # smallest prime factors by a sieve; q is a prime power when dividing out
+    # its smallest prime factor leaves 1
+    top = 2**16
+    spf = list(range(top + 1))
+    for d in range(2, 257):
+        if spf[d] == d:
+            for m in range(d * d, top + 1, d):
+                spf[m] = min(spf[m], d)
+    for q in range(-2, top + 1):
+        p, k, rest = (spf[q] if q >= 2 else 0), 0, q
+        while q >= 2 and rest % p == 0:
+            rest, k = rest // p, k + 1
+        if q >= 2 and rest == 1:
+            assert prime_power(q) == (p, k)
+        else:
+            with pytest.raises(ValueError, match="not a prime power"):
+                prime_power(q)
+
+
+def test_prime_power_of_large_fields_is_fast():
+    p = 2**61 - 1
+    start = time.perf_counter()
+    assert prime_power(p) == (p, 1)
+    assert prime_power(p**2) == (p, 2)
+    assert time.perf_counter() - start < 0.1
+    assert prime_power(3**40) == (3, 40)
+    # strong pseudoprimes to every base up to 23 and up to 37
+    for q in (p * (2**31 - 1), 2**61 * 3, 6, 3825123056546413051, 318665857834031151167461):
+        with pytest.raises(ValueError, match="not a prime power"):
+            prime_power(q)
+
+
+def test_prime_power_refuses_roots_beyond_the_primality_bound():
+    big = 2**89 - 1  # prime, above the deterministic Miller-Rabin range
+    assert big > exactalg.MR_BOUND
+    for q in (big, big**2):
+        with pytest.raises(ValueError, match=str(exactalg.MR_BOUND)):
+            prime_power(q)
 
 
 # ---------------------------------------------------------------------------

@@ -1,16 +1,19 @@
 """Tests for exact cyclotomic numbers and exponential-sum functions.
 
-The transform is checked against its defining pointwise formula
-f(lcm(N, m))^gcd(N, m), evaluated exactly.
+CyclotomicRational is checked against a reference that keeps Fraction
+coordinates and inverts by linear algebra; the transform is checked against
+its defining pointwise formula f(lcm(N, m))^gcd(N, m), evaluated exactly.
 """
+import dataclasses
 import math
+import operator
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from motivesums.exactalg import cyclotomic
+from motivesums.exactalg import cyclotomic, dense_divmod, dense_mul, power_by_squaring
 from motivesums.lefschetz import (
     CyclotomicRational,
     LefschetzFunction,
@@ -19,6 +22,192 @@ from motivesums.lefschetz import (
 )
 
 zeta = CyclotomicRational.root_of_unity
+
+
+def cyc(n, coords):
+    """CyclotomicRational from rational coordinates over their common denominator."""
+    coords = [Fraction(c) for c in coords]
+    den = math.lcm(*(c.denominator for c in coords))
+    return CyclotomicRational(n, [int(c * den) for c in coords], den)
+
+
+# ---------------------------------------------------------------------------
+# reference: Fraction coordinates, reduced modulo Phi_n over Q
+# ---------------------------------------------------------------------------
+
+
+@dataclasses.dataclass(frozen=True)
+class FractionCyclotomic:
+    """Element of Q(zeta_n) as Fraction coordinates over the power basis,
+    reduced modulo the n-th cyclotomic polynomial by division over Q."""
+
+    conductor: int
+    coords: tuple
+
+    def __init__(self, conductor, coords):
+        modulus = [Fraction(c) for c in cyclotomic(conductor).coeffs]
+        cs = [Fraction(c) for c in coords]
+        if len(cs) >= len(modulus):
+            cs = dense_divmod(cs, modulus, operator.sub, operator.mul, operator.truediv)[1]
+        cs += [Fraction(0)] * (len(modulus) - 1 - len(cs))
+        object.__setattr__(self, "conductor", conductor)
+        object.__setattr__(self, "coords", tuple(cs))
+
+    def promoted(self, target):
+        step = target // self.conductor
+        out = [Fraction(0)] * ((len(self.coords) - 1) * step + 1)
+        for i, c in enumerate(self.coords):
+            out[i * step] = c
+        return FractionCyclotomic(target, out)
+
+    def _common(self, other):
+        n = math.lcm(self.conductor, other.conductor)
+        return self.promoted(n), other.promoted(n)
+
+    def __add__(self, other):
+        a, b = self._common(other)
+        return FractionCyclotomic(a.conductor, [x + y for x, y in zip(a.coords, b.coords)])
+
+    def __neg__(self):
+        return FractionCyclotomic(self.conductor, [-c for c in self.coords])
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __mul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return FractionCyclotomic(self.conductor, [c * other for c in self.coords])
+        a, b = self._common(other)
+        return FractionCyclotomic(a.conductor, dense_mul(a.coords, b.coords, operator.add, operator.mul))
+
+    def __pow__(self, n):
+        base = self.inverse() if n < 0 else self
+        return power_by_squaring(base, abs(n), operator.mul, FractionCyclotomic(1, [1]))
+
+    def inverse(self):
+        """Solve x * y = 1 by Gauss-Jordan elimination on the matrix of
+        multiplication by x."""
+        phi = len(self.coords)
+        cols = [(self * FractionCyclotomic(self.conductor, [0] * j + [1])).coords for j in range(phi)]
+        rows = [[col[i] for col in cols] + [Fraction(int(i == 0))] for i in range(phi)]
+        for c in range(phi):
+            pivot = next((r for r in range(c, phi) if rows[r][c]), None)
+            if pivot is None:
+                raise ZeroDivisionError("not invertible")
+            rows[c], rows[pivot] = rows[pivot], rows[c]
+            rows[c] = [v / rows[c][c] for v in rows[c]]
+            for r in range(phi):
+                f = rows[r][c]
+                if r != c and f:
+                    rows[r] = [a - f * b for a, b in zip(rows[r], rows[c])]
+        return FractionCyclotomic(self.conductor, [row[-1] for row in rows])
+
+    def __eq__(self, other):
+        a, b = self._common(other)
+        return a.coords == b.coords
+
+    def __hash__(self):
+        if not any(self.coords[1:]):
+            return hash(self.coords[0])
+        return hash((self.conductor, self.coords))
+
+    def divided_exactly(self, k):
+        for c in self.coords:
+            if c.denominator != 1 or c.numerator % k:
+                raise ArithmeticError(f"coordinate {c} not divisible by {k}")
+        return FractionCyclotomic(self.conductor, [c / k for c in self.coords])
+
+    def __str__(self):
+        if not any(self.coords[1:]):
+            return str(self.coords[0])
+        parts = []
+        for i, c in enumerate(self.coords):
+            if c == 0:
+                continue
+            z = "" if i == 0 else (f"z{self.conductor}" if i == 1 else f"z{self.conductor}^{i}")
+            parts.append(f"{c}" + (f"*{z}" if z else ""))
+        return " + ".join(parts)
+
+
+def assert_matches(x, ref):
+    """x represents ref: same conductor and coordinates, integer coordinates
+    over the least common denominator, and the same printed form."""
+    den = math.lcm(*(c.denominator for c in ref.coords))
+    assert x.conductor == ref.conductor
+    assert (x.num, x.den) == (tuple(int(c * den) for c in ref.coords), den)
+    assert x.coords == ref.coords
+    assert str(x) == str(ref)
+
+
+small_rationals = st.fractions(min_value=-6, max_value=6, max_denominator=6)
+elements = st.tuples(st.integers(1, 12), st.lists(small_rationals, max_size=14))
+
+
+@given(elements, elements, small_rationals)
+@settings(max_examples=120, deadline=None)
+def test_ring_operations_match_fraction_reference(xs, ys, r):
+    x, y = cyc(*xs), cyc(*ys)
+    rx, ry = FractionCyclotomic(*xs), FractionCyclotomic(*ys)
+    assert_matches(x, rx)
+    assert_matches(x + y, rx + ry)
+    assert_matches(x - y, rx - ry)
+    assert_matches(-x, -rx)
+    assert_matches(x * y, rx * ry)
+    assert_matches(x * r, rx * r)
+    assert_matches(x + r, rx + FractionCyclotomic(1, [r]))
+    for e in range(4):
+        assert_matches(x**e, rx**e)
+
+
+@given(elements, st.integers(1, 3))
+@settings(max_examples=100, deadline=None)
+def test_inverse_and_negative_powers_match_fraction_reference(xs, e):
+    x, rx = cyc(*xs), FractionCyclotomic(*xs)
+    if x.is_zero():
+        with pytest.raises(ZeroDivisionError):
+            x.inverse()
+        return
+    assert_matches(x.inverse(), rx.inverse())
+    assert_matches(x**-e, rx**-e)
+    assert_matches(cyc(1, [1]) / x, rx.inverse())
+
+
+@given(elements, elements, st.integers(1, 3))
+@settings(max_examples=120, deadline=None)
+def test_equality_hash_and_promotion_match_fraction_reference(xs, ys, k):
+    x, y = cyc(*xs), cyc(*ys)
+    rx, ry = FractionCyclotomic(*xs), FractionCyclotomic(*ys)
+    assert_matches(x.promoted(x.conductor * k), rx.promoted(rx.conductor * k))
+    assert (x == y) == (rx == ry)
+    # the same element, reached at another conductor or as a rational
+    for other in (x.promoted(x.conductor * k), x - y + y):
+        assert x == other and other == x
+    assert x != x + 1
+    if x.is_rational():
+        assert x == x.as_rational() and hash(x) == hash(x.as_rational()) == hash(rx)
+    # equal elements at one conductor hash alike
+    z = x - y + y
+    assert hash(z) == hash(x.promoted(z.conductor)) and hash(x) == hash(cyc(*xs))
+
+
+@given(elements, st.integers(-4, 4).filter(bool), st.integers(1, 6))
+@settings(max_examples=100, deadline=None)
+def test_divided_exactly_matches_fraction_reference(xs, m, k):
+    rx = FractionCyclotomic(*xs)
+    den = math.lcm(*(c.denominator for c in rx.coords))
+    # an integral multiple, which k divides exactly when it divides every coordinate
+    x, rx = cyc(*xs) * (den * m), rx * (den * m)
+    if all(c.numerator % k == 0 for c in rx.coords):
+        assert_matches(x.divided_exactly(k), rx.divided_exactly(k))
+    else:
+        with pytest.raises(ArithmeticError) as want:
+            rx.divided_exactly(k)
+        with pytest.raises(ArithmeticError) as got:
+            x.divided_exactly(k)
+        assert str(got.value) == str(want.value)
+    if den > 1:
+        with pytest.raises(ArithmeticError):
+            cyc(*xs).divided_exactly(1)
 
 
 # ---------------------------------------------------------------------------
@@ -83,13 +272,13 @@ def test_reduction_recovers_planted_remainder(n, quo, low):
     for i, a in enumerate(quo):
         for j, b in enumerate(modulus):
             f[i + j] += a * b
-    assert CyclotomicRational(n, f).coords == tuple(rem)
+    assert cyc(n, f).coords == tuple(rem)
 
 
 @given(st.integers(3, 12), st.lists(rationals, min_size=1, max_size=11))
 @settings(max_examples=150, deadline=None)
 def test_inverse_is_a_two_sided_inverse(n, coords):
-    x = CyclotomicRational(n, coords)
+    x = cyc(n, coords)
     if x.is_zero():
         with pytest.raises(ZeroDivisionError):
             x.inverse()

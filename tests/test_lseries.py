@@ -165,6 +165,59 @@ def test_base_change_law_elliptic(spec, m):
     assert lhs == rhs
 
 
+def _z_by_substitution(motive, curve, symbolic_j):
+    """z_polynomial through determinants in t and q, with q -> x and
+    t -> a_i substituted afterwards."""
+    x = SymbolicPolynomial.variable("x")
+    det = motive.frobenius_det()
+    det_x = det.substitute({"q": x})
+    f1 = SymbolicPolynomial.constant(1)
+    for name in j_variable_names(symbolic_j):
+        f1 = f1 * det.substitute({"q": x, "t": SymbolicPolynomial.variable(name)})
+
+    def quotient(degrees):
+        h0 = h0_det(degrees, motive).substitute({"q": x})
+        if det_x.is_constant():
+            if det_x != 1:
+                raise NotPolynomial("constant determinant")
+            return h0
+        return h0.exact_div(det_x, "t")
+
+    f2 = quotient(curve.s_degrees).substitute({"t": 1})
+    if curve.t_degrees:
+        f3 = quotient(curve.t_degrees).substitute({"t": x})
+    elif det_x == 1:
+        f3 = SymbolicPolynomial.constant(1)
+    else:
+        raise NotPolynomial("empty twisting list")
+    return f1 * f2 * f3
+
+
+@pytest.mark.parametrize("spec", ALL_GROUPS, ids=str)
+@given(
+    q=st.sampled_from([2, 3, 4, 5, 7, 8, 9]),
+    genus=st.integers(0, 1),
+    r=st.integers(0, 2),
+    shape=st.sampled_from(PLACE_SHAPES + [((1,), (2, 3)), ((2,), ())]),
+    data=st.data(),
+)
+@settings(max_examples=25, deadline=None)
+def test_z_polynomial_matches_substitution_route(spec, q, genus, r, shape, data):
+    bound = math.isqrt(4 * q)
+    weil = [1, data.draw(st.integers(-bound, bound)), q] if genus else [1]
+    curve = CurveDatum(q, weil, *shape)
+    motive = motive_of(spec)
+    try:
+        want = _z_by_substitution(motive, curve, r)
+    except NotPolynomial:
+        with pytest.raises(NotPolynomial):
+            z_polynomial(motive, curve, symbolic_j=r)
+        return
+    got = z_polynomial(motive, curve, symbolic_j=r)
+    assert got == want
+    assert (got.vars, str(got)) == (want.vars, str(want))
+
+
 # ---------------------------------------------------------------------------
 # symmetric pair evaluation
 # ---------------------------------------------------------------------------

@@ -1,9 +1,14 @@
 """Checks over the package source as a whole."""
 import ast
+import os
 import pathlib
+import subprocess
 import sys
 
-SOURCES = sorted((pathlib.Path(__file__).resolve().parents[1] / "src" / "motivesums").glob("*.py"))
+import pytest
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+SOURCES = sorted((ROOT / "src" / "motivesums").glob("*.py"))
 
 
 def test_no_assert_statements():
@@ -36,3 +41,34 @@ def test_only_standard_library_imports():
                 if name.split(".")[0] not in sys.stdlib_module_names and name != "__future__"
             ]
     assert found == []
+
+
+def test_sources_parse_as_python_3_10():
+    # pyproject.toml declares requires-python >= 3.10
+    assert SOURCES
+    for path in SOURCES:
+        ast.parse(path.read_text(encoding="utf-8"), filename=str(path), feature_version=(3, 10))
+
+
+def _python_3_10() -> bool:
+    try:
+        probe = subprocess.run(
+            ["python3.10", "-c", "import sys; print(sys.version_info[:2])"], capture_output=True, text=True
+        )
+    except OSError:
+        return False
+    return probe.stdout.strip() == "(3, 10)"
+
+
+@pytest.mark.skipif(not _python_3_10(), reason="python3.10 is missing or is not Python 3.10")
+def test_cli_runs_under_python_3_10():
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    runs = [
+        ["lefschetz", "--op", "fN", "--f", "chi:2", "--n", "6"],
+        ["lfun", '{"q": 2, "weil_numerator": [1, -1, 2], "s_degrees": [1], "t_degrees": [1]}', '{"SL": 2}'],
+    ]
+    for args in runs:
+        mine = subprocess.run([sys.executable, "-m", "motivesums", *args], capture_output=True, text=True, env=env)
+        py310 = subprocess.run(["python3.10", "-m", "motivesums", *args], capture_output=True, text=True, env=env)
+        assert (py310.returncode, py310.stderr) == (0, "")
+        assert py310.stdout == mine.stdout
