@@ -1,16 +1,23 @@
-"""Exponential-sum functions with exact cyclotomic bases.
+"""Exponential-sum functions with exact cyclotomic values.
 
 A Lefschetz-type function is a finite sum m -> sum_i n_i * alpha_i^m with
-rational coefficients n_i and bases alpha_i lying in some cyclotomic field
-extended by rational scalars.  The algebra here keeps everything exact:
-a base is an element of Q(zeta_N) held as integer coordinates over the power
-basis modulo the N-th cyclotomic polynomial, with one positive common
-denominator, so products and sums run in integer arithmetic and equality,
-inverses and coordinate-wise integer divisibility are all decidable.
+rational coefficients n_i, where each base alpha_i is a root of unity times
+a nonzero rational, as a Frobenius weight q^w times a root of unity is.  A
+base is held as the pair (r, a) with alpha = r * e^(2 pi i a), r > 0 and
+a in [0, 1) both Fractions, so the algebra of functions works on radii and
+angles alone, and a base that is not of this form raises ValueError.
+
+Values live in Q(zeta_N), held by CyclotomicRational as integer coordinates
+over the power basis modulo the N-th cyclotomic polynomial with one positive
+common denominator, so sums and products run in integer arithmetic and
+equality, inverses and coordinate-wise integer divisibility are decidable.
+Evaluating a function at m puts each term's c * r^m on the root
+e^(2 pi i a m) and reduces modulo Phi_N once.
 """
 from __future__ import annotations
 
 import dataclasses
+import functools
 import itertools
 import math
 import operator
@@ -35,6 +42,18 @@ def _poly_ext_gcd(a: tuple[Fraction, ...], b: tuple[Fraction, ...]):
         raise ZeroDivisionError("gcd of zero polynomials")
     lead = r0[-1]
     return [c / lead for c in r0], [c / lead for c in s0]
+
+
+@functools.cache
+def _trace_weights(n: int) -> tuple[Fraction, ...]:
+    """Tr(zeta_n^j)/phi(n) for 0 <= j < phi(n), which is mu(d)/phi(d) for
+    the order d of zeta_n^j; mu(d) = -[x^(phi(d)-1)] Phi_d, the sum of the
+    primitive d-th roots."""
+    weights = []
+    for j in range(len(cyclotomic(n).coeffs) - 1):
+        phi_d = cyclotomic(n // math.gcd(n, j)).coeffs
+        weights.append(Fraction(-phi_d[-2], len(phi_d) - 1))
+    return tuple(weights)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -162,7 +181,9 @@ class CyclotomicRational:
         return a.num == b.num and a.den == b.den
 
     def __hash__(self):
-        return hash(self.as_rational()) if self.is_rational() else hash((self.conductor, self.num, self.den))
+        # the normalized trace Tr(x)/phi(n): promotion leaves it unchanged,
+        # and on a rational it is the rational itself
+        return hash(sum(map(operator.mul, _trace_weights(self.conductor), self.num)) / self.den)
 
     # -- predicates -----------------------------------------------------------
 
@@ -201,44 +222,92 @@ class CyclotomicRational:
         return " + ".join(parts)
 
 
-ZERO = CyclotomicRational.from_rational(0)
-ONE = CyclotomicRational.from_rational(1)
+@functools.cache
+def _unit_angles(n: int) -> dict[tuple[int, ...], Fraction]:
+    """Reduced integer coordinates of +-zeta_n^j for 0 <= j < n, each mapped
+    to the angle a in [0, 1) with that root equal to e^(2 pi i a); the
+    coordinates of zeta^(j+1) are those of zeta^j shifted once and reduced
+    by the monic Phi_n."""
+    modulus = cyclotomic(n).coeffs
+    coords = [1] + [0] * (len(modulus) - 2)
+    angles: dict[tuple[int, ...], Fraction] = {}
+    for j in range(n):
+        angle = Fraction(j, n)
+        angles[tuple(coords)] = angle
+        angles.setdefault(tuple(-c for c in coords), (angle + Fraction(1, 2)) % 1)
+        top = coords[-1]
+        coords = [0] + coords[:-1]
+        if top:
+            coords = [c - top * g for c, g in zip(coords, modulus)]
+    return angles
 
 
-@dataclasses.dataclass(frozen=True)
+def _polar(base: CyclotomicRational) -> tuple[Fraction, Fraction]:
+    """The key (a, r) of a base r * e^(2 pi i a) with r > 0 rational and
+    0 <= a < 1.  The primitive part of the coordinates, up to sign, must be a
+    root of unity of the base's conductor."""
+    g = math.gcd(*base.num)
+    angle = _unit_angles(base.conductor).get(tuple(c // g for c in base.num)) if g else None
+    if angle is None:
+        raise ValueError(f"base {base} is not a root of unity times a nonzero rational")
+    return angle, Fraction(g, base.den)
+
+
 class LefschetzFunction:
-    """Finite formal sum of (coefficient, base) pairs over cyclotomic
-    rationals, evaluated as m -> sum coeff * base^m.  Terms with equal bases
-    are merged and zero terms dropped."""
+    """Finite formal sum m -> sum c * base^m with rational coefficients c,
+    where every base is a root of unity times a nonzero rational.
 
-    terms: tuple[tuple[Fraction, CyclotomicRational], ...]
+    A base is held as the key (a, r) with base = r * e^(2 pi i a), r > 0 and
+    a in [0, 1), both Fractions: products add angles and multiply radii, and
+    evaluate places c * r^m in slot a*N*m mod N of the N-th roots of unity,
+    with N the lcm of the angle denominators, reducing modulo Phi_N once.
+    Terms are merged on the key, zero terms dropped and the rest kept in one
+    canonical order, so equality and hash follow the function.  A zero base is dropped
+    as well (its powers vanish for m >= 1); any other base that is not a
+    root of unity times a rational raises ValueError."""
+
+    __slots__ = ("_terms",)
 
     def __init__(self, terms: Iterable[tuple[RationalLike, CyclotomicRational]] = ()):
-        pending = [(Fraction(c), b) for c, b in terms]
-        pending = [(c, b) for c, b in pending if c != 0 and not b.is_zero()]
-        common = math.lcm(*(b.conductor for _, b in pending)) if pending else 1
-        merged: dict[tuple[tuple[int, ...], int], tuple[Fraction, CyclotomicRational]] = {}
-        for coeff, base in pending:
-            promoted = base.promoted(common)
-            key = promoted.num, promoted.den
-            if key in merged:
-                c0, b0 = merged[key]
-                merged[key] = (c0 + coeff, b0)
-            else:
-                merged[key] = (coeff, base)
-        object.__setattr__(
-            self, "terms", tuple((c, b) for c, b in merged.values() if c != 0)
+        pairs = ((Fraction(c), CyclotomicRational._coerce(b)) for c, b in terms)
+        self._terms = _merged((_polar(b), c) for c, b in pairs if not b.is_zero())
+
+    @classmethod
+    def _from_items(cls, items) -> "LefschetzFunction":
+        """The function with the given ((a, r), coefficient) items."""
+        f = cls.__new__(cls)
+        f._terms = _merged(items)
+        return f
+
+    @property
+    def terms(self) -> tuple[tuple[Fraction, CyclotomicRational], ...]:
+        """The (coefficient, base) pairs in canonical order, each base at
+        the conductor of its angle (a read-only view)."""
+        return tuple(
+            (c, CyclotomicRational.root_of_unity(a.denominator, a.numerator) * r)
+            for (a, r), c in self._terms
         )
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, LefschetzFunction):
+            return NotImplemented
+        return self._terms == other._terms
+
+    def __hash__(self):
+        return hash(self._terms)
+
+    def __repr__(self) -> str:
+        return f"LefschetzFunction({list(self.terms)!r})"
 
     # -- constructors ------------------------------------------------------
 
     @staticmethod
     def constant(v: RationalLike) -> "LefschetzFunction":
-        return LefschetzFunction([(Fraction(v), ONE)])
+        return LefschetzFunction._from_items([((Fraction(0), Fraction(1)), Fraction(v))])
 
     @staticmethod
     def single(coeff: RationalLike, base) -> "LefschetzFunction":
-        return LefschetzFunction([(Fraction(coeff), CyclotomicRational._coerce(base))])
+        return LefschetzFunction([(coeff, base)])
 
     @staticmethod
     def chi(n: int) -> "LefschetzFunction":
@@ -246,25 +315,27 @@ class LefschetzFunction:
         0 otherwise, realized with the n-th roots of unity as bases."""
         if n < 1:
             raise ValueError("chi index must be positive")
-        return LefschetzFunction(
-            [(Fraction(1), CyclotomicRational.root_of_unity(n, i)) for i in range(n)]
-        )
+        one = Fraction(1)
+        return LefschetzFunction._from_items(((Fraction(j, n), one), one) for j in range(n))
 
     # -- ring structure ----------------------------------------------------
 
     def __add__(self, other: "LefschetzFunction") -> "LefschetzFunction":
-        return LefschetzFunction(self.terms + other.terms)
+        return LefschetzFunction._from_items(self._terms + other._terms)
 
     def __neg__(self) -> "LefschetzFunction":
-        return LefschetzFunction([(-c, b) for c, b in self.terms])
+        return LefschetzFunction._from_items((key, -c) for key, c in self._terms)
 
     def __sub__(self, other: "LefschetzFunction") -> "LefschetzFunction":
         return self + (-other)
 
     def __mul__(self, other: "LefschetzFunction") -> "LefschetzFunction":
-        return LefschetzFunction(
-            [(c1 * c2, b1 * b2) for c1, b1 in self.terms for c2, b2 in other.terms]
-        )
+        items = []
+        for (a1, r1), c1 in self._terms:
+            for (a2, r2), c2 in other._terms:
+                a = a1 + a2
+                items.append(((a - 1 if a >= 1 else a, r1 * r2), c1 * c2))
+        return LefschetzFunction._from_items(items)
 
     def __pow__(self, n: int) -> "LefschetzFunction":
         if n < 0:
@@ -272,22 +343,32 @@ class LefschetzFunction:
         return power_by_squaring(self, n, operator.mul, LefschetzFunction.constant(1))
 
     def compose_scale(self, k: int) -> "LefschetzFunction":
-        """The function m -> f(k*m): every base is raised to the k-th power."""
-        return LefschetzFunction([(c, b**k) for c, b in self.terms])
+        """The function m -> f(k*m): every base is raised to the k-th power,
+        (a, r) -> (k*a mod 1, r^k)."""
+        return LefschetzFunction._from_items(((a * k % 1, r**k), c) for (a, r), c in self._terms)
 
     def divided_exactly(self, k: int) -> "LefschetzFunction":
-        out = []
-        for c, b in self.terms:
+        for _, c in self._terms:
             if c.denominator != 1 or c.numerator % k:
                 raise ArithmeticError(f"coefficient {c} not divisible by {k}")
-            out.append((Fraction(c.numerator // k), b))
-        return LefschetzFunction(out)
+        return LefschetzFunction._from_items((key, Fraction(c.numerator // k)) for key, c in self._terms)
 
     def evaluate(self, m: int) -> CyclotomicRational:
-        acc = ZERO
-        for c, b in self.terms:
-            acc = acc + b**m * c
-        return acc
+        """f(m) in Q(zeta_N), N the lcm of the angle denominators: each term
+        adds c * r^m to the coordinate of zeta_N^(a*N*m mod N)."""
+        n = math.lcm(*(a.denominator for (a, _), _ in self._terms))
+        e = abs(m)
+        # (slot, numerator, denominator) of c * r^m, with r > 0; the
+        # constructor cancels what the pairs share
+        values = []
+        for (a, r), c in self._terms:
+            p, q = (r.numerator, r.denominator) if m >= 0 else (r.denominator, r.numerator)
+            values.append((a.numerator * (n // a.denominator) * m % n, c.numerator * p**e, c.denominator * q**e))
+        den = math.lcm(*(d for _, _, d in values))
+        slots = [0] * n
+        for i, num, d in values:
+            slots[i] += num * (den // d)
+        return CyclotomicRational(n, slots, den)
 
     def evaluate_rational(self, m: int) -> Fraction:
         return self.evaluate(m).as_rational()
@@ -295,7 +376,7 @@ class LefschetzFunction:
     def is_integer_valued(self, up_to: int | None = None) -> bool:
         """Pointwise check that f(m) is a rational integer for
         m = 1 .. up_to (default: the number of terms)."""
-        bound = up_to if up_to is not None else max(1, len(self.terms))
+        bound = up_to if up_to is not None else max(1, len(self._terms))
         for m in range(1, bound + 1):
             v = self.evaluate(m)
             if not v.is_rational() or v.as_rational().denominator != 1:
@@ -303,9 +384,24 @@ class LefschetzFunction:
         return True
 
     def __str__(self) -> str:
-        if not self.terms:
+        if not self._terms:
             return "0"
         return " + ".join(f"{c}*({b})^m" for c, b in self.terms)
+
+
+def _merged(items) -> tuple:
+    """The ((a, r), coefficient) items with equal keys merged, zero
+    coefficients dropped and the rest in canonical order.  The dicts are
+    keyed on the integer pairs of a and r, which hash far faster than
+    Fractions do."""
+    keys: dict[tuple[int, int, int, int], tuple[Fraction, Fraction]] = {}
+    coeffs: dict[tuple[int, int, int, int], Fraction] = {}
+    for key, c in items:
+        a, r = key
+        ident = a.numerator, a.denominator, r.numerator, r.denominator
+        keys[ident] = key
+        coeffs[ident] = coeffs.get(ident, 0) + c
+    return tuple((keys[i], coeffs[i]) for i in sorted(coeffs) if coeffs[i])
 
 
 def f_N_transform(f: LefschetzFunction, n: int) -> LefschetzFunction:

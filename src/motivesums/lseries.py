@@ -199,28 +199,24 @@ def lefschetz_fit(
     values: Sequence[Fraction], candidate_bases: Sequence[CyclotomicRational]
 ) -> LefschetzFunction | None:
     """Fit values(m), m = 1..M, as an exact exponential sum over the given
-    bases: solve on the first |bases| points, verify on the rest.  Returns
-    None when the held-out points reject the fit."""
-    bases: list[CyclotomicRational] = []
-    for b in candidate_bases:
-        b = CyclotomicRational._coerce(b)
-        if not any(b == seen for seen in bases):
-            bases.append(b)
-    k = len(bases)
+    bases: solve on the first |bases| points, verify on the rest.  Each base
+    must be a root of unity times a nonzero rational (ValueError otherwise);
+    equal bases are merged and the powers b^(m+1) are evaluated in the
+    (radius, angle) form of LefschetzFunction.  Returns None when the
+    held-out points reject the fit."""
+    # equal bases give equal single-term functions, so each is kept once
+    distinct = {LefschetzFunction.single(1, b): b for b in candidate_bases}
+    k = len(distinct)
     if len(values) < k + 1:
         raise ValueError("need at least one held-out point beyond the solve block")
-    rows = [[b ** (m + 1) for b in bases] for m in range(k)]
+    rows = [[s.evaluate(m + 1) for s in distinct] for m in range(k)]
     rhs = [CyclotomicRational.from_rational(v) for v in values[:k]]
     coeffs = _solve_exact(rows, rhs)
     if coeffs is None:
         raise ValueError("singular system: candidate bases do not separate the points")
-    terms = []
-    for c, b in zip(coeffs, bases):
-        if not c.is_rational():
-            return None
-        if c.as_rational() != 0:
-            terms.append((c.as_rational(), b))
-    fitted = LefschetzFunction(terms)
+    if not all(c.is_rational() for c in coeffs):
+        return None
+    fitted = LefschetzFunction(zip((c.as_rational() for c in coeffs), distinct.values()))
     for m in range(k + 1, len(values) + 1):
         if fitted.evaluate(m) != Fraction(values[m - 1]):
             return None

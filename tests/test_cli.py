@@ -1,9 +1,13 @@
 """Tests for the command-line interface."""
+import contextlib
+import io
 import json
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from motivesums.cli import main
 
@@ -194,3 +198,87 @@ def test_console_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout == "(1 - t*q)(1 - t*q^3)\n"
+
+
+# -- fuzzing: any input, well formed or not, ends in an exit code and at most
+# one line on stderr, never in a traceback
+
+json_scalars = st.one_of(
+    st.integers(-2, 6), st.booleans(), st.none(), st.sampled_from([1.5, -0.0, 2.0]), st.text(max_size=3)
+)
+group_kinds = st.sampled_from(["GL", "SL", "U", "Sp", "SO", "Res", "Product", "XX"])
+group_specs = st.recursive(
+    st.one_of(
+        st.builds(lambda kind, n: {kind: n}, st.sampled_from(["GL", "SL", "U", "Sp", "SO"]), st.integers(1, 5)),
+        st.builds(lambda kind, arg: {kind: arg}, group_kinds, json_scalars),
+    ),
+    lambda inner: st.one_of(
+        st.builds(lambda d, g: {"Res": [d, g]}, st.integers(-1, 3), inner),
+        st.builds(lambda gs: {"Product": gs}, st.lists(inner, max_size=3)),
+        st.lists(inner, max_size=2),
+        st.dictionaries(group_kinds, inner, max_size=2),
+    ),
+    max_leaves=4,
+)
+curve_data = st.one_of(
+    # genus 0 or 1 over a prime power q, which pass validation
+    st.builds(
+        lambda q, trace, genus1, s, t: {
+            "q": q, "weil_numerator": [1, trace, q] if genus1 else [1], "s_degrees": s, "t_degrees": t
+        },
+        st.sampled_from([2, 3, 4, 5, 7, 8, 9]),
+        st.integers(-4, 4),
+        st.booleans(),
+        st.lists(st.integers(1, 3), min_size=1, max_size=3),
+        st.lists(st.integers(1, 3), max_size=2),
+    ),
+    st.fixed_dictionaries(
+        {},
+        optional={
+            "q": st.one_of(st.integers(-1, 10), json_scalars),
+            "weil_numerator": st.one_of(st.lists(st.integers(-4, 9), max_size=5), json_scalars),
+            "s_degrees": st.one_of(st.lists(st.integers(-1, 3), max_size=3), json_scalars),
+            "t_degrees": st.one_of(st.lists(st.integers(-1, 3), max_size=3), json_scalars),
+        },
+    ),
+)
+# inline JSON: a value, or text that starts like an object and may not parse
+json_text = lambda values: st.one_of(values.map(json.dumps), st.text(max_size=12).map(lambda t: "{" + t))
+# malformed arguments are joined from short tokens, so that no index is large
+function_args = st.one_of(
+    st.builds("{}:{}".format, st.sampled_from(["chi", "const", "base"]), st.integers(-3, 6)),
+    st.builds(
+        "{}{}{}".format,
+        st.sampled_from(["chi", "const", "base", "", "x", "Chi"]),
+        st.sampled_from([":", "", "::"]),
+        st.sampled_from(["", "-", "3", "-2", "0", "1.5", "--4", "+2", " 2", "x"]),
+    ),
+)
+degree_args = st.one_of(
+    st.lists(st.integers(1, 4), min_size=1, max_size=3),
+    st.lists(st.sampled_from(["1", "2", "0", "-1", "", " 2", "x", "2.0"]), max_size=3),
+).map(lambda ds: ",".join(map(str, ds)))
+argvs = st.one_of(
+    st.builds(
+        lambda op, f, n, degrees, m_max: ["lefschetz", "--op", op, f"--f={f}", "--n", str(n),
+                                          f"--degrees={degrees}", "--m-max", str(m_max)],
+        st.sampled_from(["chi", "fN", "place-product"]),
+        function_args,
+        st.integers(-2, 12),
+        degree_args,
+        st.integers(-1, 12),
+    ),
+    st.builds(lambda g: ["motive", g], json_text(group_specs)),
+    st.builds(lambda c, g: ["lfun", c, g], json_text(curve_data), json_text(group_specs)),
+)
+
+
+@given(argvs)
+@settings(max_examples=150, deadline=None)
+def test_fuzzed_input_exits_cleanly(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2, 3)
+    assert err.getvalue().count("\n") <= 1 and "Traceback" not in err.getvalue()
+    assert (code == 0) == (err.getvalue() == "")

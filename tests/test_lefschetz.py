@@ -1,8 +1,9 @@
 """Tests for exact cyclotomic numbers and exponential-sum functions.
 
 CyclotomicRational is checked against a reference that keeps Fraction
-coordinates and inverts by linear algebra; the transform is checked against
-its defining pointwise formula f(lcm(N, m))^gcd(N, m), evaluated exactly.
+coordinates and inverts by linear algebra; LefschetzFunction against the sum
+of c * b**m over its raw (coefficient, base) pairs; the transform against its
+defining pointwise formula f(lcm(N, m))^gcd(N, m), evaluated exactly.
 """
 import dataclasses
 import math
@@ -20,6 +21,7 @@ from motivesums.lefschetz import (
     f_N_transform,
     place_product,
 )
+from motivesums.lseries import lefschetz_fit
 
 zeta = CyclotomicRational.root_of_unity
 
@@ -185,9 +187,9 @@ def test_equality_hash_and_promotion_match_fraction_reference(xs, ys, k):
     assert x != x + 1
     if x.is_rational():
         assert x == x.as_rational() and hash(x) == hash(x.as_rational()) == hash(rx)
-    # equal elements at one conductor hash alike
+    # equal elements hash alike, at any conductor
     z = x - y + y
-    assert hash(z) == hash(x.promoted(z.conductor)) and hash(x) == hash(cyc(*xs))
+    assert hash(x) == hash(x.promoted(x.conductor * k)) == hash(z) == hash(cyc(*xs))
 
 
 @given(elements, st.integers(-4, 4).filter(bool), st.integers(1, 6))
@@ -228,6 +230,8 @@ def test_cross_conductor_equality():
     assert zeta(4) ** 2 == -1
     assert zeta(6) == 1 + zeta(3)
     assert zeta(3) + zeta(3) ** 2 == -1
+    assert -zeta(3) == zeta(6, 5) and hash(-zeta(3)) == hash(zeta(6, 5))
+    assert len({zeta(4), zeta(4).promoted(12), zeta(12, 3)}) == 1
 
 
 def test_field_arithmetic():
@@ -301,6 +305,7 @@ def test_chi_pointwise():
 def test_merge_and_zero():
     f = LefschetzFunction.single(1, 2) + LefschetzFunction.single(-1, 2)
     assert f.terms == ()
+    assert LefschetzFunction.single(5, 0).terms == ()
     g = LefschetzFunction.single(1, 2) + LefschetzFunction.single(2, 2)
     assert len(g.terms) == 1 and g.evaluate_rational(3) == 24
 
@@ -313,6 +318,22 @@ def test_algebra_pointwise():
         assert (f * g).evaluate_rational(m) == f.evaluate_rational(m) * g.evaluate_rational(m)
         assert (g**3).evaluate_rational(m) == g.evaluate_rational(m) ** 3
         assert g.compose_scale(2).evaluate_rational(m) == g.evaluate_rational(2 * m)
+
+
+def test_equality_ignores_term_order():
+    f = LefschetzFunction.single(1, 2) + LefschetzFunction.single(1, 3)
+    g = LefschetzFunction.single(1, 3) + LefschetzFunction.single(1, 2)
+    assert f == g and hash(f) == hash(g)
+
+
+def test_non_torsion_base_raises():
+    base = 1 + zeta(5)
+    with pytest.raises(ValueError, match="not a root of unity"):
+        LefschetzFunction.single(1, base)
+    with pytest.raises(ValueError, match="not a root of unity"):
+        LefschetzFunction([(1, zeta(3)), (2, base)])
+    with pytest.raises(ValueError, match="not a root of unity"):
+        lefschetz_fit([Fraction(1)] * 4, [1, base])
 
 
 def test_is_integer_valued():
@@ -368,3 +389,98 @@ def test_place_product_pointwise(degrees):
             r = math.gcd(d, m)
             expected = expected * f.evaluate(m * d // r) ** r
         assert g.evaluate(m) == expected, (degrees, m)
+
+
+# ---------------------------------------------------------------------------
+# LefschetzFunction against sum c * b**m over the raw (coefficient, base) pairs
+# ---------------------------------------------------------------------------
+
+
+def ref_value(pairs, m):
+    """sum c * b**m, every power by square-and-multiply in Q(zeta_n)."""
+    acc = CyclotomicRational.from_rational(0)
+    for c, b in pairs:
+        acc = acc + b**m * c
+    return acc
+
+
+def ref_mul(p, q):
+    return [(c1 * c2, b1 * b2) for c1, b1 in p for c2, b2 in q]
+
+
+def ref_pow(p, e):
+    out = [(Fraction(1), CyclotomicRational.from_rational(1))]
+    for _ in range(e):
+        out = ref_mul(out, p)
+    return out
+
+
+@st.composite
+def torsion_pairs(draw, coefficients):
+    """Up to three (coefficient, r * zeta_d^j) pairs with r a nonzero
+    rational of either sign and every d dividing one n <= 12, each base
+    given at a conductor between d and n."""
+    n = draw(st.integers(1, 12))
+    divisors = [d for d in range(1, n + 1) if n % d == 0]
+    pairs = []
+    for _ in range(draw(st.integers(0, 3))):
+        conductor = draw(st.sampled_from(divisors))
+        d = draw(st.sampled_from([d for d in divisors if conductor % d == 0]))
+        r = draw(st.fractions(-6, 6, max_denominator=6).filter(bool))
+        base = zeta(d, draw(st.integers(0, d - 1))).promoted(conductor) * r
+        pairs.append((draw(coefficients), base))
+    return pairs
+
+
+rational_pairs = torsion_pairs(st.fractions(-4, 4, max_denominator=4))
+integer_pairs = torsion_pairs(st.integers(-3, 3))
+
+
+@pytest.mark.parametrize("base", [-zeta(3), -zeta(5, 2) * Fraction(3, 2), -zeta(9, 4) * 2, -zeta(7).promoted(14)])
+def test_negative_radius_at_odd_conductor(base):
+    f = LefschetzFunction.single(2, base)
+    for m in range(-2, 13):
+        assert f.evaluate(m) == base**m * 2
+    assert f.terms[0][1] == base
+
+
+@given(rational_pairs, rational_pairs, st.integers(0, 3), st.integers(-2, 3), st.randoms())
+@settings(max_examples=80, deadline=None)
+def test_function_algebra_matches_power_reference(p, q, e, k, rnd):
+    f, g = LefschetzFunction(p), LefschetzFunction(q)
+    assert LefschetzFunction(f.terms) == f
+    shuffled = p[:]
+    rnd.shuffle(shuffled)
+    assert LefschetzFunction(shuffled) == f and hash(LefschetzFunction(shuffled)) == hash(f)
+    assert f + g == g + f and hash(f + g) == hash(g + f) and f * g == g * f
+    # the key arithmetic lands on the keys that conversion gives
+    assert f * g == LefschetzFunction(ref_mul(p, q)) and f**e == LefschetzFunction(ref_pow(p, e))
+    assert f.compose_scale(k) == LefschetzFunction([(c, b**k) for c, b in p])
+    for m in range(-1, 7):
+        assert f.evaluate(m) == ref_value(p, m)
+        assert (f + g).evaluate(m) == ref_value(p + q, m)
+        assert (f - g).evaluate(m) == ref_value(p + [(-c, b) for c, b in q], m)
+        assert (f * g).evaluate(m) == ref_value(ref_mul(p, q), m)
+        assert (f**e).evaluate(m) == ref_value(ref_pow(p, e), m)
+        assert f.compose_scale(k).evaluate(m) == ref_value([(c, b**k) for c, b in p], m)
+
+
+@given(integer_pairs, st.sampled_from([1, 2, 3, 4, 6]), st.integers(1, 4),
+       st.lists(st.integers(1, 3), min_size=1, max_size=3))
+@settings(max_examples=60, deadline=None)
+def test_transforms_match_power_reference(p, n, k, degrees):
+    f = LefschetzFunction(p)
+    divided = LefschetzFunction([(c * k, b) for c, b in p]).divided_exactly(k)
+    g = f_N_transform(f, n)
+    h = place_product(f, degrees)
+    for m in range(1, 7):
+        assert divided.evaluate(m) == ref_value(p, m)
+        assert g.evaluate(m) == ref_value(p, math.lcm(n, m)) ** math.gcd(n, m)
+        expected = CyclotomicRational.from_rational(1)
+        for d in degrees:
+            r = math.gcd(d, m)
+            expected = expected * ref_value(p, m * d // r) ** r
+        assert h.evaluate(m) == expected
+    if any(c % (k + 1) for c in (c for c, _ in f.terms)):
+        with pytest.raises(ArithmeticError):
+            f.divided_exactly(k + 1)
