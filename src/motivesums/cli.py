@@ -1,12 +1,14 @@
 """Command-line front door: every computation as a batch command.
 
-Inputs that start with "{" are parsed as inline JSON; anything else is
-treated as a path to a JSON file.  All output is exact: rationals print as
+Inputs whose first non-space character is "{", "[", '"', "-" or a digit
+are parsed as inline JSON; anything else is treated as a path to a JSON
+file.  All output is exact: rationals print as
 "a/b" (denominator omitted when 1) and polynomials print in ascending
 exponent order with explicit "*" and "^".
 
 Exit codes: 0 success, 1 certificate or verification failure, 2 malformed
-input, 3 enumeration budget exceeded.
+input, 3 work budget exceeded (an enumeration, or a cyclotomic reduction of
+too large an index).
 """
 from __future__ import annotations
 
@@ -29,8 +31,11 @@ from .oracle import BudgetError, FiniteField, sl_census, sp_census
 from .verify import run_suite
 
 
+_INLINE_JSON_START = tuple('{["-0123456789')
+
+
 def _load_json(source: str):
-    if source.lstrip().startswith("{"):
+    if source.lstrip().startswith(_INLINE_JSON_START):
         return json.loads(source)
     try:
         with open(source, encoding="utf-8") as fh:

@@ -116,6 +116,28 @@ def det_factor_terms(degrees: Iterable[int], motive: ArtinTateMotive) -> Iterato
             yield [(c, i * e, i * k) for i, c in enumerate(charpoly_of_power(p.charpoly, e).coeffs) if c]
 
 
+def h0_quotient_factors(degrees: Iterable[int], motive: ArtinTateMotive) -> list[tuple[IntPolynomial, int]]:
+    """h0_det(degrees) / h0_det((1,)) as factors (F, w), F a polynomial in
+    U = t * q^(w-1) for the piece of weight w.  Since c_e(U^e) is the product
+    of c(zeta * U) over the e-th roots of unity zeta, c(U) divides it: the
+    first place, of degree e, gives c_e(U^e) / c(U) for each piece, and every
+    other place gives c_e(U^e) whole.  Factors equal to 1 are left out.
+    Without places the quotient 1 / h0_det((1,)) is not a polynomial, so an
+    empty list raises ValueError."""
+    degrees = tuple(degrees)
+    if not degrees:
+        raise ValueError("the determinant quotient needs at least one place")
+    out = []
+    for i, e in enumerate(degrees):
+        for p in motive.pieces:
+            f = charpoly_of_power(p.charpoly, e).substitute_power(e)
+            if i == 0:
+                f = f / p.charpoly
+            if f.degree > 0:
+                out.append((f, p.weight))
+    return out
+
+
 def h0_factors(degrees: Iterable[int], motive: ArtinTateMotive, t="t", q="q") -> list[SymbolicPolynomial]:
     """det_factor_terms as polynomials in the variables named t and q; an
     exponent out of range raises OverflowError before anything is multiplied."""
@@ -131,15 +153,4 @@ def h0_det(degrees: Iterable[int], motive: ArtinTateMotive, t="t", q="q") -> Sym
     acc = SymbolicPolynomial.constant(1)
     for factor in h0_factors(degrees, motive, t, q):
         acc = acc * factor
-    return acc
-
-
-def h0_det_at(degrees: Iterable[int], motive: ArtinTateMotive, q: int) -> IntPolynomial:
-    """h0_det at the integer q, built in integer arithmetic."""
-    acc = IntPolynomial((1,))
-    for terms in det_factor_terms(degrees, motive):
-        coeffs = [0] * (terms[-1][1] + 1)
-        for c, te, qe in terms:
-            coeffs[te] = c * q**qe
-        acc = acc * IntPolynomial(coeffs)
     return acc

@@ -43,6 +43,12 @@ class InvariantError(ArithmeticError):
     routes to the same count disagreeing."""
 
 
+class BudgetError(RuntimeError):
+    """Raised before a computation that would exceed its work budget: an
+    enumeration (use the closed counting formulas instead) or a reduction
+    modulo a cyclotomic polynomial of too large an index."""
+
+
 # ---------------------------------------------------------------------------
 # dense univariate kernels over any coefficient ring
 # ---------------------------------------------------------------------------

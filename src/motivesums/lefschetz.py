@@ -12,7 +12,8 @@ over the power basis modulo the N-th cyclotomic polynomial with one positive
 common denominator, so sums and products run in integer arithmetic and
 equality, inverses and coordinate-wise integer divisibility are decidable.
 Evaluating a function at m puts each term's c * r^m on the root
-e^(2 pi i a m) and reduces modulo Phi_N once.
+e^(2 pi i a m) and reduces modulo Phi_N once; an N whose reduction would
+take more than REDUCTION_BUDGET steps raises BudgetError before any work.
 """
 from __future__ import annotations
 
@@ -24,9 +25,37 @@ import operator
 from fractions import Fraction
 from typing import Iterable, Union
 
-from .exactalg import cyclotomic, dense_divmod, dense_mul, monic_head, power_by_squaring
+from .exactalg import BudgetError, cyclotomic, dense_divmod, dense_mul, monic_head, power_by_squaring
 
 RationalLike = Union[int, Fraction]
+
+# division steps allowed for one reduction modulo a cyclotomic polynomial
+REDUCTION_BUDGET = 10**6
+
+
+@functools.cache
+def _check_reduction(n: int) -> None:
+    """Raise BudgetError when reducing a length-n slot vector modulo Phi_n,
+    (n - phi(n)) * phi(n) division steps, would exceed REDUCTION_BUDGET.
+
+    The cost is n - 1 for a prime n, and at least n / sqrt(2) for a
+    composite n, whose least prime factor p <= sqrt(n) gives
+    n - phi(n) >= n / p >= sqrt(n), while phi(n) >= sqrt(n / 2).  So an n
+    above 2 * REDUCTION_BUDGET is refused without factoring it, and phi(n)
+    is found by trial division below that."""
+    if n <= 2 * REDUCTION_BUDGET:
+        phi, rest, p = n, n, 2
+        while p * p <= rest:
+            if rest % p == 0:
+                phi -= phi // p
+                while rest % p == 0:
+                    rest //= p
+            p += 1
+        if rest > 1:
+            phi -= phi // rest
+        if (n - phi) * phi <= REDUCTION_BUDGET:
+            return
+    raise BudgetError(f"index {n}: one reduction modulo Phi_{n} exceeds {REDUCTION_BUDGET} steps")
 
 
 def _poly_ext_gcd(a: tuple[Fraction, ...], b: tuple[Fraction, ...]):
@@ -315,6 +344,7 @@ class LefschetzFunction:
         0 otherwise, realized with the n-th roots of unity as bases."""
         if n < 1:
             raise ValueError("chi index must be positive")
+        _check_reduction(n)
         one = Fraction(1)
         return LefschetzFunction._from_items(((Fraction(j, n), one), one) for j in range(n))
 
@@ -353,10 +383,16 @@ class LefschetzFunction:
                 raise ArithmeticError(f"coefficient {c} not divisible by {k}")
         return LefschetzFunction._from_items((key, Fraction(c.numerator // k)) for key, c in self._terms)
 
+    def _index(self) -> int:
+        """N, the lcm of the angle denominators."""
+        return math.lcm(*(a.denominator for (a, _), _ in self._terms))
+
     def evaluate(self, m: int) -> CyclotomicRational:
         """f(m) in Q(zeta_N), N the lcm of the angle denominators: each term
-        adds c * r^m to the coordinate of zeta_N^(a*N*m mod N)."""
-        n = math.lcm(*(a.denominator for (a, _), _ in self._terms))
+        adds c * r^m to the coordinate of zeta_N^(a*N*m mod N).  Raises
+        BudgetError when the reduction modulo Phi_N is over budget."""
+        n = self._index()
+        _check_reduction(n)
         e = abs(m)
         # (slot, numerator, denominator) of c * r^m, with r > 0; the
         # constructor cancels what the pairs share
@@ -408,9 +444,11 @@ def f_N_transform(f: LefschetzFunction, n: int) -> LefschetzFunction:
     """The transform sending f to m -> f(lcm(n, m))^gcd(n, m), built by the
     prime-power recursion f_(l^e) = g_(l^(e-1)) + chi(l^e) * h with
     g(m) = f(l*m) and l^e * h = f^(l^e) - g^(l^(e-1)), every division
-    exact."""
+    exact.  Raises BudgetError, before any work, when the result's values
+    would need an over-budget reduction."""
     if n < 1:
         raise ValueError("transform index must be positive")
+    _check_reduction(math.lcm(n, f._index()))
     result = f
     remaining = n
     p = 2
@@ -437,7 +475,13 @@ def _prime_power_transform(f: LefschetzFunction, ell: int, e: int) -> LefschetzF
 def place_product(f: LefschetzFunction, degrees: Iterable[int]) -> LefschetzFunction:
     """For a multiset of place degrees, the function
     m -> product over places v of f(m * deg w) over the places w above v in
-    the degree-m extension; equals the product of the degree transforms."""
+    the degree-m extension; equals the product of the degree transforms.
+    Raises BudgetError, before any work, when the product's values would
+    need an over-budget reduction."""
+    degrees = list(degrees)
+    if any(d < 1 for d in degrees):
+        raise ValueError("transform index must be positive")
+    _check_reduction(math.lcm(f._index(), *degrees))
     acc = LefschetzFunction.constant(1)
     for d in degrees:
         acc = acc * f_N_transform(f, d)

@@ -3,9 +3,12 @@
 The value at the central point factors as F1 * F2 * F3: a product over the
 curve's Weil inverse roots, a global-sections quotient for the splitting
 places evaluated at t = 1, and a twisted quotient for the twisting places
-evaluated at t = q.  Both quotients are exact polynomial divisions performed
-before evaluation, so vanishing emerges from the arithmetic rather than from
-special cases.
+evaluated at t = q.  Both quotients are divided piece by piece before
+anything is multiplied: a place of degree e contributes c_e(U^e) for a
+piece (w, c), in the one variable U = t * q^(w-1), and c(U) divides the
+first place's factor exactly (curves.h0_quotient_factors).  Each factor is
+then evaluated on its own, so vanishing emerges from the arithmetic rather
+than from special cases.
 """
 from __future__ import annotations
 
@@ -13,7 +16,7 @@ import math
 from fractions import Fraction
 from typing import Sequence
 
-from .curves import CurveDatum, h0_det, h0_det_at
+from .curves import CurveDatum, h0_det, h0_quotient_factors
 from .exactalg import IntPolynomial, SymbolicPolynomial, resultant
 from .lefschetz import CyclotomicRational, LefschetzFunction
 from .motives import ArtinTateMotive, motive_of, parse_group_spec
@@ -34,16 +37,31 @@ def weil_root_product(curve: CurveDatum, poly: IntPolynomial) -> int:
 
 
 def l_value(motive: ArtinTateMotive, curve: CurveDatum) -> Fraction:
-    """Exact central L-value of the motive over the curve datum.  The
-    determinants are integer polynomials in t at the curve's q, and only the
-    final quotient is a Fraction."""
+    """Exact central L-value of the motive over the curve datum, in integer
+    arithmetic with one Fraction at the end.
+
+    F2 and F3 are products of the per-piece quotient factors F(U) of
+    curves.h0_quotient_factors at U = q^(w-1) and U = q^w.  Without
+    twisting places F3 is 1 / prod c(q^w) over the pieces.  F1 is the
+    product over pieces of weil_root_product(c(t * q^(w-1))), as the
+    resultant is multiplicative; genus 0 has no Weil roots and F1 = 1."""
     q = curve.q
-    det_q = h0_det_at((1,), motive, q)
-    f1 = weil_root_product(curve, det_q)
-    f2 = (h0_det_at(curve.s_degrees, motive, q) / det_q).evaluate(1)
+    f1 = 1
+    if curve.genus:
+        for p in motive.pieces:
+            scale = q ** (p.weight - 1)
+            f1 *= weil_root_product(curve, IntPolynomial(c * scale**i for i, c in enumerate(p.charpoly.coeffs)))
+    f2 = 1
+    for f, w in h0_quotient_factors(curve.s_degrees, motive):
+        f2 *= f.evaluate(q ** (w - 1))
     if curve.t_degrees:
-        return Fraction(f1 * f2 * (h0_det_at(curve.t_degrees, motive, q) / det_q).evaluate(q))
-    denom = det_q.evaluate(q)
+        f3 = 1
+        for f, w in h0_quotient_factors(curve.t_degrees, motive):
+            f3 *= f.evaluate(q**w)
+        return Fraction(f1 * f2 * f3)
+    denom = 1
+    for p in motive.pieces:
+        denom *= p.charpoly.evaluate(q**p.weight)
     if denom == 0:
         raise ZeroDivisionError("weight >= 1 eigenvalues cannot hit 1 at t = q")
     return Fraction(f1 * f2, denom)
@@ -60,38 +78,28 @@ def z_polynomial(
     inverse roots by symbolic variables a1..ar; integral whenever both place
     lists are nonempty.
 
-    The determinants are built directly in x (and, for the Weil-root
-    product, in a_i for t) by h0_det, so the only substitutions are the
-    evaluations of the two quotients at t = 1 and t = x.
+    F2 * F3 is one integer polynomial in x: each quotient factor F(U) of
+    curves.h0_quotient_factors becomes F(x^(w-1)) for a splitting place (the
+    constant F(1) when w = 1) and F(x^w) for a twisting place.  Only F1, the
+    product over a_i of the Frobenius determinant at t = a_i and q = x, is
+    built symbolically.
 
     Raises NotPolynomial when the twisting list is empty and the value is
     genuinely rational.
     """
-    det_x = h0_det((1,), motive, q="x")
-
     f1 = SymbolicPolynomial.constant(1)
     for name in j_variable_names(symbolic_j):
         f1 = f1 * h0_det((1,), motive, t=name, q="x")
 
-    h0s = h0_det(curve.s_degrees, motive, q="x")
-    quo_s = h0s.exact_div(det_x, "t") if not det_x.is_constant() else _const_div(h0s, det_x)
-    f2 = quo_s.substitute({"t": 1})
-
+    f23 = IntPolynomial((1,))
+    for f, w in h0_quotient_factors(curve.s_degrees, motive):
+        f23 = f23 * (f.substitute_power(w - 1) if w > 1 else f.evaluate(1))
     if curve.t_degrees:
-        h0t = h0_det(curve.t_degrees, motive, q="x")
-        quo_t = h0t.exact_div(det_x, "t") if not det_x.is_constant() else _const_div(h0t, det_x)
-        f3 = quo_t.substitute({"t": SymbolicPolynomial.variable("x")})
-    elif det_x == 1:
-        f3 = SymbolicPolynomial.constant(1)
-    else:
+        for f, w in h0_quotient_factors(curve.t_degrees, motive):
+            f23 = f23 * f.substitute_power(w)
+    elif any(p.charpoly.degree > 0 for p in motive.pieces):
         raise NotPolynomial("rational, not polynomial: empty twisting list")
-    return f1 * f2 * f3
-
-
-def _const_div(num: SymbolicPolynomial, den: SymbolicPolynomial) -> SymbolicPolynomial:
-    if den == 1:
-        return num
-    raise NotPolynomial("rational, not polynomial: constant determinant")
+    return f1 * SymbolicPolynomial.from_int_poly(f23, "x")
 
 
 def symmetric_pair_eval(

@@ -11,14 +11,9 @@ import itertools
 from typing import Iterable
 
 from .classtypes import SLType, SpType, enumerate_sl_types, enumerate_sp_types
-from .exactalg import InexactDivision, InvariantError, dense_divmod, dense_mul, monic_head
+from .exactalg import BudgetError, InexactDivision, InvariantError, dense_divmod, dense_mul, monic_head
 from .exactalg import power_by_squaring, prime_power
 from .motives import parse_group_spec
-
-
-class BudgetError(RuntimeError):
-    """Raised when an enumeration would exceed its budget; use the closed
-    counting formulas instead."""
 
 
 class FiniteField:

@@ -4,6 +4,7 @@ import io
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -170,6 +171,11 @@ def test_malformed_json_exits_2(capsys):
         (["lfun", '{"q": 6, "weil_numerator": [1], "s_degrees": [1]}', '{"SL": 2}'], "not a prime power"),
         (["lfun", '{"q": 2, "weil_numerator": [1, 0, 3], "s_degrees": [1]}', '{"SL": 2}'], "functional equation"),
         (["lfun", f'{{"q": {2**89 - 1}, "weil_numerator": [1], "s_degrees": [1]}}', '{"SL": 2}'], "stops at"),
+        # inline JSON that is not an object is parsed, not opened as a file
+        (["motive", '[{"SL": 2}]'], "group description must be a single-key object"),
+        (["motive", " [1, 2]"], "group description must be a single-key object"),
+        (["lfun", "7", '{"SL": 2}'], "curve description must be a JSON object"),
+        (["lfun", "-1", '{"SL": 2}'], "curve description must be a JSON object"),
     ],
 )
 def test_bad_numbers_exit_2_with_one_line(capsys, argv, message):
@@ -182,6 +188,23 @@ def test_bad_numbers_exit_2_with_one_line(capsys, argv, message):
 def test_budget_exceeded_exits_3(capsys):
     assert main(["census", "--group", "Sp:18", "--q", "9"]) == 3
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("degree, code", [(1446, 0), (8676, 3)])
+def test_lefschetz_index_budget(capsys, degree, code):
+    # one reduction modulo Phi_N costs (N - phi(N)) * phi(N) steps:
+    # 463,680 for N = 1446, and 16.7 million for N = 8676, over the 10^6 budget
+    argv = ["lefschetz", "--op", "place-product", "--f", "const:5", "--degrees", str(degree), "--m-max", "5"]
+    start = time.perf_counter()
+    assert main(argv) == code
+    elapsed = time.perf_counter() - start
+    captured = capsys.readouterr()
+    if code == 0:
+        assert captured.out.splitlines()[0] == "m,value" and len(captured.out.splitlines()) == 6
+    else:
+        # refused before any work (it ran for about a minute without the budget)
+        assert captured.out == "" and captured.err.count("\n") == 1 and "Phi_8676" in captured.err
+        assert elapsed < 5
 
 
 def test_deterministic_output(capsys):

@@ -1,9 +1,11 @@
 """Tests for curve data and base change."""
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from motivesums.curves import CurveDatum, charpoly_of_power, h0_det
-from motivesums.exactalg import IntPolynomial, SymbolicPolynomial
-from motivesums.motives import motive_of
+from motivesums.curves import CurveDatum, charpoly_of_power, h0_det, h0_quotient_factors
+from motivesums.exactalg import IntPolynomial, SymbolicPolynomial, cyclotomic
+from motivesums.motives import ArtinTateMotive, GradedPiece, motive_of
 
 
 def projective_line(q, s=(1, 1), t=()):
@@ -111,3 +113,30 @@ def test_h0_det_unitary_degree_two():
     m = motive_of({"U": 1})
     # inverse root -1 squared is 1
     assert h0_det([2], m) == 1 - t**2
+
+
+def _unit_cyclotomic(d):
+    """Phi_d with constant term 1: 1 - u for d = 1, Phi_d itself otherwise."""
+    return IntPolynomial((1, -1)) if d == 1 else cyclotomic(d)
+
+
+@given(st.lists(st.integers(1, 12), min_size=1, max_size=4), st.integers(1, 6), st.integers(1, 4))
+@settings(max_examples=200, deadline=None)
+def test_charpoly_divides_its_powered_substitution(ds, e, weight):
+    # c_e(U^e) is the product of c(zeta*U) over the e-th roots of unity zeta,
+    # so c(U) divides it with an integer quotient of constant term 1
+    c = IntPolynomial((1,))
+    for d in ds:
+        c = c * _unit_cyclotomic(d)
+    powered = charpoly_of_power(c, e).substitute_power(e)
+    quo, rem = divmod(powered, c)
+    assert rem.is_zero() and quo * c == powered and quo.coeffs[0] == 1
+    motive = ArtinTateMotive([GradedPiece(weight, c)])
+    # the first place contributes the quotient, later places the whole factor
+    assert h0_quotient_factors((e,), motive) == ([(quo, weight)] if quo.degree > 0 else [])
+    assert h0_quotient_factors((1, e), motive) == [(powered, weight)]
+
+
+def test_quotient_factors_need_a_place():
+    with pytest.raises(ValueError):
+        h0_quotient_factors((), motive_of({"SL": 2}))

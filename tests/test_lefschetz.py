@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from motivesums.exactalg import cyclotomic, dense_divmod, dense_mul, power_by_squaring
+from motivesums.exactalg import BudgetError, cyclotomic, dense_divmod, dense_mul, power_by_squaring
 from motivesums.lefschetz import (
     CyclotomicRational,
     LefschetzFunction,
@@ -484,3 +484,19 @@ def test_transforms_match_power_reference(p, n, k, degrees):
     if any(c % (k + 1) for c in (c for c, _ in f.terms)):
         with pytest.raises(ArithmeticError):
             f.divided_exactly(k + 1)
+
+
+def test_reduction_budget():
+    # (N - phi(N)) * phi(N) steps: 1,000,002 for the prime 1,000,003, and
+    # at least N / sqrt(2) for N = 10^30; refused before any term is built
+    with pytest.raises(BudgetError):
+        LefschetzFunction.chi(1_000_003)
+    with pytest.raises(BudgetError):
+        f_N_transform(LefschetzFunction.constant(2), 10**30)
+    with pytest.raises(BudgetError):
+        place_product(LefschetzFunction.chi(4), [9, 241])
+    # angles 1/36 and 1/241 need N = 8676 when evaluated
+    f = LefschetzFunction.single(1, zeta(36)) * LefschetzFunction.single(1, zeta(241))
+    with pytest.raises(BudgetError):
+        f.evaluate(1)
+    assert LefschetzFunction.single(1, zeta(241)).evaluate(241) == 1

@@ -218,6 +218,100 @@ def test_z_polynomial_matches_substitution_route(spec, q, genus, r, shape, data)
     assert (got.vars, str(got)) == (want.vars, str(want))
 
 
+def _full_product_route(motive, curve, symbolic_j):
+    """Whole determinants in t and x: h0_det multiplied out over all places
+    and divided by the Frobenius determinant with exact_div in t, then
+    evaluated at t = 1 (splitting places) and t = x (twisting places).
+    Returns (det_x, f1, f2, f3), f1 the product over a_i of the determinant
+    at t = a_i, and f3 None without twisting places."""
+    x = SymbolicPolynomial.variable("x")
+    det_x = h0_det((1,), motive, q="x")
+    f1 = SymbolicPolynomial.constant(1)
+    for name in j_variable_names(symbolic_j):
+        f1 = f1 * h0_det((1,), motive, t=name, q="x")
+
+    def quotient(degrees):
+        h0 = h0_det(degrees, motive, q="x")
+        if det_x.is_constant():
+            if det_x != 1:
+                raise NotPolynomial("constant determinant")
+            return h0
+        return h0.exact_div(det_x, "t")
+
+    f2 = quotient(curve.s_degrees).substitute({"t": 1})
+    f3 = quotient(curve.t_degrees).substitute({"t": x}) if curve.t_degrees else None
+    return det_x, f1, f2, f3
+
+
+def _z_by_full_product(motive, curve, symbolic_j):
+    det_x, f1, f2, f3 = _full_product_route(motive, curve, symbolic_j)
+    if f3 is None:
+        if det_x != 1:
+            raise NotPolynomial("empty twisting list")
+        f3 = SymbolicPolynomial.constant(1)
+    return f1 * f2 * f3
+
+
+def _l_value_by_full_product(motive, curve):
+    """The full-product route at x = q, with the Weil roots as a1, a2 for
+    genus 1; without twisting places, divided by det(t = q)."""
+    names = j_variable_names(2 * curve.genus)
+    det_x, f1, f2, f3 = _full_product_route(motive, curve, len(names))
+    if f3 is not None:
+        return evaluate_with_weil_roots(f1 * f2 * f3, curve, curve.q, names)
+    denom = det_x.substitute({"t": SymbolicPolynomial.variable("x")}).evaluate({"x": curve.q})
+    if denom == 0:
+        raise ZeroDivisionError("determinant vanishes at t = q")
+    return evaluate_with_weil_roots(f1 * f2, curve, curve.q, names) / denom
+
+
+def _outcome(fn, *args):
+    """The printed value (with the variables of a polynomial), or the type
+    of the exception raised."""
+    try:
+        value = fn(*args)
+    except (ArithmeticError, ValueError) as exc:
+        return type(exc)
+    return getattr(value, "vars", None), str(value)
+
+
+_BASE_SPECS = st.one_of(
+    st.builds(lambda kind, n: {kind: n}, st.sampled_from(["SL", "GL", "U"]), st.integers(1, 5)),
+    st.builds(lambda n: {"Sp": 2 * n}, st.integers(1, 3)),
+    st.just({"SO": 5}),
+)
+_MOTIVE_SPECS = st.one_of(
+    _BASE_SPECS,
+    st.builds(
+        lambda d, kind, n: {"Res": [d, {kind: n}]}, st.integers(2, 3), st.sampled_from(["U", "GL"]), st.integers(1, 3)
+    ),
+    st.builds(lambda inner, n: {"Product": [inner, {"U": n}]}, _BASE_SPECS, st.integers(1, 3)),
+)
+
+
+@given(
+    spec=_MOTIVE_SPECS,
+    q=st.sampled_from([2, 3, 4, 5, 7, 9]),
+    genus=st.integers(0, 1),
+    # a first place of degree 1 to 4, then places that may repeat it
+    first=st.integers(1, 4),
+    more=st.lists(st.integers(1, 3), max_size=2),
+    twisting=st.lists(st.integers(1, 3), max_size=2),
+    m=st.integers(1, 3),
+    r=st.integers(0, 2),
+    data=st.data(),
+)
+@settings(max_examples=300, deadline=None)
+def test_per_piece_route_matches_full_product(spec, q, genus, first, more, twisting, m, r, data):
+    bound = math.isqrt(4 * q)
+    weil = [1, data.draw(st.integers(-bound, bound)), q] if genus else [1]
+    motive = motive_of(spec)
+    curve = CurveDatum(q, weil, [first] + more, twisting)
+    assert _outcome(z_polynomial, motive, curve, r) == _outcome(_z_by_full_product, motive, curve, r)
+    changed = curve.base_change(m)
+    assert _outcome(l_value, motive, changed) == _outcome(_l_value_by_full_product, motive, changed)
+
+
 # ---------------------------------------------------------------------------
 # symmetric pair evaluation
 # ---------------------------------------------------------------------------
