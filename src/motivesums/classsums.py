@@ -32,7 +32,9 @@ from .exactalg import (
     IntPolynomial,
     InvariantError,
     SymbolicPolynomial,
+    check_degree,
     dense_mul,
+    factorize,
     poly_gcd,
     to_int_poly,
 )
@@ -95,21 +97,18 @@ class DerivativeWitness:
     D: SymbolicPolynomial
 
 
-def _prod(factors, unit=None):
-    acc = SymbolicPolynomial.constant(1) if unit is None else unit
-    for f in factors:
-        acc = acc * f
-    return acc
+# the empty product, which math.prod needs as its start
+_ONE = SymbolicPolynomial.constant(1)
 
 
 def derivative_witness(j_names: Sequence[str], k: int) -> DerivativeWitness:
     ones = [1 + SymbolicPolynomial.variable(name) for name in j_names]
     alphas = [SymbolicPolynomial.variable(name) for name in j_names]
     r = len(j_names)
-    a = _prod(p**k for p in ones)
+    a = math.prod((p**k for p in ones), start=_ONE)
 
     def rest(skip: set) -> SymbolicPolynomial:
-        return _prod(ones[j] ** k for j in range(r) if j not in skip)
+        return math.prod((ones[j] ** k for j in range(r) if j not in skip), start=_ONE)
 
     b = SymbolicPolynomial.constant(0)
     c = SymbolicPolynomial.constant(0)
@@ -163,7 +162,7 @@ def class_sum(spec, curve: CurveDatum) -> Fraction:
     elif kind == "Sp":
         if size % 2:
             raise ValueError("Sp size must be even")
-        for t in enumerate_sp_types(size // 2, q_even=q % 2 == 0, include_gl=True):
+        for t in enumerate_sp_types(size // 2, q_even=q % 2 == 0):
             motive = sp_centralizer_motive(t)
             if _vanishes_at_one(motive):
                 continue
@@ -223,7 +222,8 @@ def sl_prime_certificate(l: int, r: int) -> SymbolicCertificate:
     """Certificate for SL of prime degree: the difference between the split
     and inert block products divides exactly by 1 + x + ... + x^(l-1),
     yielding two closed forms selected by whether x = 1 mod l."""
-    if l < 2 or any(l % p == 0 for p in range(2, l)):
+    check_degree(l - 1)  # the divisor's degree in x, checked before any work
+    if l < 2 or factorize(l) != [(l, 1)]:
         raise ValueError("degree must be prime")
     if r < 0:
         raise ValueError("arity must be nonnegative")
@@ -261,6 +261,7 @@ def sl_script_p(n: int, r: int, n_prime: int = 1, d_prime: int = 1) -> SymbolicC
         raise ValueError("d_prime must divide n_prime")
     if math.gcd(d_prime, n) != 1:
         raise ValueError("d_prime must be coprime to n")
+    check_degree(n_prime * n)  # the block products' degree in x, checked before any work
     names = j_variable_names(r)
     num = SymbolicPolynomial.constant(0)
     for d in divisors(n):
@@ -295,13 +296,6 @@ _Q4 = IntPolynomial((1, 0, 1))  # 1 + x^2
 _Q6 = IntPolynomial((1, -1, 1))  # 1 - x + x^2
 
 
-def _iprod(*factors: IntPolynomial) -> IntPolynomial:
-    acc = IntPolynomial((1,))
-    for f in factors:
-        acc = acc * f
-    return acc
-
-
 def _golden_sp_ratios() -> dict:
     """Transcribed count-times-ratio rational functions, keyed by
     (half-dimension, parity) and table row label, as (numerator,
@@ -309,54 +303,54 @@ def _golden_sp_ratios() -> dict:
     x = _X
     return {
         (2, "odd"): {
-            "t1": (2 * IntPolynomial((1, 1, 1)), _iprod(_OP, _OP, _Q4)),
-            "t2": (IntPolynomial((1,)), _iprod(_OP, _OP)),
-            "t3": (2 * IntPolynomial((-1, 1)), _iprod(_OP, _OP)),
-            "t4": (IntPolynomial((-1, 1)), _iprod(_OP, _OP)),
-            "t5": (_iprod(IntPolynomial((-1, 1)), IntPolynomial((-3, 1))), 2 * _iprod(_OP, _OP)),
+            "t1": (2 * IntPolynomial((1, 1, 1)), _OP * _OP * _Q4),
+            "t2": (IntPolynomial((1,)), _OP * _OP),
+            "t3": (2 * IntPolynomial((-1, 1)), _OP * _OP),
+            "t4": (IntPolynomial((-1, 1)), _OP * _OP),
+            "t5": (IntPolynomial((-1, 1)) * IntPolynomial((-3, 1)), 2 * _OP * _OP),
             "t6": (IntPolynomial((-1, 0, 1)), 2 * _Q4),
         },
         (2, "even"): {
-            "t1": (IntPolynomial((1, 1, 1)), _iprod(_OP, _OP, _Q4)),
-            "t3": (x, _iprod(_OP, _OP)),
-            "t4": (x, _iprod(_OP, _OP)),
-            "t5": (_iprod(x, IntPolynomial((-2, 1))), 2 * _iprod(_OP, _OP)),
+            "t1": (IntPolynomial((1, 1, 1)), _OP * _OP * _Q4),
+            "t3": (x, _OP * _OP),
+            "t4": (x, _OP * _OP),
+            "t5": (x * IntPolynomial((-2, 1)), 2 * _OP * _OP),
             "t6": (x * x, 2 * _Q4),
         },
         (3, "odd"): {
-            "t1": (2 * IntPolynomial((1, 1, 1, 1, 1)), _iprod(_OP, _OP, _OP, _Q4, _Q6)),
-            "t2": (2 * IntPolynomial((1, 1, 1)), _iprod(_OP, _OP, _OP, _Q4)),
+            "t1": (2 * IntPolynomial((1, 1, 1, 1, 1)), _OP * _OP * _OP * _Q4 * _Q6),
+            "t2": (2 * IntPolynomial((1, 1, 1)), _OP * _OP * _OP * _Q4),
             "t3": (
-                2 * _iprod(IntPolynomial((-1, 1)), IntPolynomial((1, 1, 1))),
-                _iprod(_OP, _OP, _OP, _Q4),
+                2 * IntPolynomial((-1, 1)) * IntPolynomial((1, 1, 1)),
+                _OP * _OP * _OP * _Q4,
             ),
-            "t4": (IntPolynomial((-1, 1)), _iprod(_OP, _OP, _OP)),
-            "t5": (2 * IntPolynomial((-1, 1)), _iprod(_OP, _OP, _OP)),
-            "t6": (_iprod(IntPolynomial((-1, 1)), IntPolynomial((-3, 1))), _iprod(_OP, _OP, _OP)),
+            "t4": (IntPolynomial((-1, 1)), _OP * _OP * _OP),
+            "t5": (2 * IntPolynomial((-1, 1)), _OP * _OP * _OP),
+            "t6": (IntPolynomial((-1, 1)) * IntPolynomial((-3, 1)), _OP * _OP * _OP),
             "t7": (IntPolynomial((-1, 1)), _Q4),
-            "t8": (_iprod(IntPolynomial((-1, 1)), _Q4), _iprod(_OP, _OP, _OP, _Q6)),
-            "t9": (_iprod(IntPolynomial((-1, 1)), IntPolynomial((-3, 1))), _iprod(_OP, _OP, _OP)),
+            "t8": (IntPolynomial((-1, 1)) * _Q4, _OP * _OP * _OP * _Q6),
+            "t9": (IntPolynomial((-1, 1)) * IntPolynomial((-3, 1)), _OP * _OP * _OP),
             "t10": (
-                _iprod(IntPolynomial((-1, 1)), IntPolynomial((-3, 1)), IntPolynomial((-5, 1))),
-                6 * _iprod(_OP, _OP, _OP),
+                IntPolynomial((-1, 1)) * IntPolynomial((-3, 1)) * IntPolynomial((-5, 1)),
+                6 * _OP * _OP * _OP,
             ),
-            "t11": (_iprod(IntPolynomial((-1, 1)), IntPolynomial((-1, 1))), 2 * _Q4),
-            "t12": (_iprod(x, IntPolynomial((-1, 1))), 3 * _Q6),
+            "t11": (IntPolynomial((-1, 1)) * IntPolynomial((-1, 1)), 2 * _Q4),
+            "t12": (x * IntPolynomial((-1, 1)), 3 * _Q6),
         },
         (3, "even"): {
-            "t1": (IntPolynomial((1, 1, 1, 1, 1)), _iprod(_OP, _OP, _OP, _Q4, _Q6)),
-            "t3": (_iprod(x, IntPolynomial((1, 1, 1))), _iprod(_OP, _OP, _OP, _Q4)),
-            "t5": (x, _iprod(_OP, _OP, _OP)),
-            "t6": (_iprod(x, IntPolynomial((-2, 1))), 2 * _iprod(_OP, _OP, _OP)),
-            "t7": (x * x, 2 * _iprod(_OP, _Q4)),
-            "t8": (_iprod(x, _Q4), _iprod(_OP, _OP, _OP, _Q6)),
-            "t9": (_iprod(x, IntPolynomial((-2, 1))), _iprod(_OP, _OP, _OP)),
+            "t1": (IntPolynomial((1, 1, 1, 1, 1)), _OP * _OP * _OP * _Q4 * _Q6),
+            "t3": (x * IntPolynomial((1, 1, 1)), _OP * _OP * _OP * _Q4),
+            "t5": (x, _OP * _OP * _OP),
+            "t6": (x * IntPolynomial((-2, 1)), 2 * _OP * _OP * _OP),
+            "t7": (x * x, 2 * _OP * _Q4),
+            "t8": (x * _Q4, _OP * _OP * _OP * _Q6),
+            "t9": (x * IntPolynomial((-2, 1)), _OP * _OP * _OP),
             "t10": (
-                _iprod(x, IntPolynomial((-2, 1)), IntPolynomial((-4, 1))),
-                6 * _iprod(_OP, _OP, _OP),
+                x * IntPolynomial((-2, 1)) * IntPolynomial((-4, 1)),
+                6 * _OP * _OP * _OP,
             ),
-            "t11": (_iprod(x, x, x), 2 * _iprod(_OP, _Q4)),
-            "t12": (_iprod(x, IntPolynomial((-1, 1))), 3 * _Q6),
+            "t11": (x * x * x, 2 * _OP * _Q4),
+            "t12": (x * IntPolynomial((-1, 1)), 3 * _Q6),
         },
     }
 
@@ -421,9 +415,7 @@ def _count_polynomial(fn: Callable[[int], Fraction], degree_bound: int = 4):
         w = Fraction(fn(xi)) / denom
         for d_idx, b in enumerate(basis):
             coeffs[d_idx] += w * b
-    lcm = 1
-    for c in coeffs:
-        lcm = lcm * c.denominator // math.gcd(lcm, c.denominator)
+    lcm = math.lcm(*(c.denominator for c in coeffs))
     num = IntPolynomial(int(c * lcm) for c in coeffs)
     for extra in (degree_bound + 3, degree_bound + 7):
         if Fraction(num.evaluate(extra), lcm) != Fraction(fn(extra)):
@@ -468,7 +460,7 @@ def sp_certificate(n: int, parity: str, r: int) -> SymbolicCertificate:
 
     scalar = 2 if n == 2 else 6
     parts = [_OP] * n + [_Q4] + ([_Q6] if n == 3 else [])
-    cleared_den = scalar * _iprod(*parts)
+    cleared_den = scalar * math.prod(parts)
 
     total = SymbolicPolynomial.constant(0)
     h_by_label: dict[str, SymbolicPolynomial] = {}
@@ -486,7 +478,10 @@ def sp_certificate(n: int, parity: str, r: int) -> SymbolicCertificate:
             multiplier = (cleared_den * (g_num / g)) / (g_den / g)
         except InexactDivision as exc:
             _require(checks, f"denominator-clearance-{row.label}", False, str(exc))
-        h = _prod(row.det.substitute({"t": SymbolicPolynomial.variable(name), "q": x}) for name in names)
+        h = math.prod(
+            (row.det.substitute({"t": SymbolicPolynomial.variable(name), "q": x}) for name in names),
+            start=_ONE,
+        )
         h_by_label[row.label] = h
         total = total + SymbolicPolynomial.from_int_poly(multiplier, "x") * h
 
@@ -542,14 +537,18 @@ def sp_certificate(n: int, parity: str, r: int) -> SymbolicCertificate:
 def _freshman_congruences(n: int, names: Sequence[str], checks: list[Check]):
     alphas = [SymbolicPolynomial.variable(name) for name in names]
     if n == 2:
-        diff = _prod((1 + a) ** 2 for a in alphas) - _prod(1 + a**2 for a in alphas)
-        ok2 = all(c % 2 == 0 for c in diff.terms.values())
-    else:
-        diff = _prod((1 + a) ** 3 for a in alphas) - _prod(
-            (1 + a) * (1 + a**2) for a in alphas
+        diff = math.prod(((1 + a) ** 2 for a in alphas), start=_ONE) - math.prod(
+            (1 + a**2 for a in alphas), start=_ONE
         )
         ok2 = all(c % 2 == 0 for c in diff.terms.values())
-        diff3 = _prod((1 + a) ** 3 for a in alphas) - _prod(1 + a**3 for a in alphas)
+    else:
+        diff = math.prod(((1 + a) ** 3 for a in alphas), start=_ONE) - math.prod(
+            ((1 + a) * (1 + a**2) for a in alphas), start=_ONE
+        )
+        ok2 = all(c % 2 == 0 for c in diff.terms.values())
+        diff3 = math.prod(((1 + a) ** 3 for a in alphas), start=_ONE) - math.prod(
+            (1 + a**3 for a in alphas), start=_ONE
+        )
         _require(
             checks,
             "power-congruence-mod-3",
@@ -568,7 +567,7 @@ def _witness_conditions(n, parity, golden, h_by_label, names, checks: list[Check
     second_ab = Fraction(0)
     second_ac = Fraction(0)
     second_ad = Fraction(0)
-    op_power = _iprod(*([_OP] * n))
+    op_power = _OP**n
     for label, (s_val, s1_val, h1_coeff, h2_coeffs) in rows.items():
         g_num, g_den = golden[label]
         values = _rational_derivatives_at(g_num * op_power, g_den, -1, order)
@@ -628,9 +627,9 @@ def _witness_conditions(n, parity, golden, h_by_label, names, checks: list[Check
             f"{values[2]}",
         )
         sums["s2"] += values[2]
-        mixed = _prod(
-            (1 + SymbolicPolynomial.variable(nm)) * (1 + SymbolicPolynomial.variable(nm) ** 2)
-            for nm in names
+        mixed = math.prod(
+            ((1 + SymbolicPolynomial.variable(nm)) * (1 + SymbolicPolynomial.variable(nm) ** 2) for nm in names),
+            start=_ONE,
         )
         _require(
             checks,

@@ -15,29 +15,29 @@ import math
 from fractions import Fraction
 from typing import Iterable
 
-from .exactalg import InexactDivision, SymbolicPolynomial
+from .exactalg import InexactDivision, SymbolicPolynomial, factorize
 from .motives import ArtinTateMotive, motive_of
 
 
 def moebius(n: int) -> int:
-    if n < 1:
-        raise ValueError("argument must be positive")
-    result = 1
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            n //= p
-            if n % p == 0:
-                return 0
-            result = -result
-        p += 1 if p == 2 else 2
-    if n > 1:
-        result = -result
-    return result
+    factors = factorize(n)
+    return 0 if any(e > 1 for _, e in factors) else (-1) ** len(factors)
 
 
 def divisors(n: int) -> list[int]:
     return [d for d in range(1, n + 1) if n % d == 0]
+
+
+def _pair_multisets(remaining: int, chosen: tuple = (), floor: tuple[int, int] = (1, 1)):
+    """Every multiset of (degree, multiplicity) pairs extending chosen with
+    pairs no smaller than floor, of total degree*multiplicity at most
+    remaining, as (ascending pairs, unused total), each before its
+    extensions.  Census and class-sum order follows this order."""
+    yield chosen, remaining
+    for d in range(1, remaining + 1):
+        for a in range(1, remaining // d + 1):
+            if (d, a) >= floor:
+                yield from _pair_multisets(remaining - d * a, chosen + ((d, a),), (d, a))
 
 
 # ---------------------------------------------------------------------------
@@ -70,21 +70,7 @@ def enumerate_sl_types(n: int) -> list[SLType]:
     """All multisets of (degree, multiplicity) pairs of total size n."""
     if n < 1:
         raise ValueError("n must be positive")
-    out: list[SLType] = []
-
-    def rec(remaining: int, chosen: list[tuple[int, int]], floor: tuple[int, int]):
-        if remaining == 0:
-            out.append(SLType(chosen))
-            return
-        for d in range(1, remaining + 1):
-            for a in range(1, remaining // d + 1):
-                if (d, a) < floor:
-                    continue
-                if d * a <= remaining:
-                    rec(remaining - d * a, chosen + [(d, a)], (d, a))
-
-    rec(n, [], (1, 1))
-    return out
+    return [SLType(pairs) for pairs, unused in _pair_multisets(n) if not unused]
 
 
 def sl_centralizer_motive(t: SLType) -> ArtinTateMotive:
@@ -140,15 +126,6 @@ class SpType:
         object.__setattr__(self, "unitary_pairs", up)
         object.__setattr__(self, "gl_pairs", gp)
 
-    @property
-    def half_dimension(self) -> int:
-        return (
-            self.a_plus
-            + self.a_minus
-            + sum(d * b for d, b in self.unitary_pairs)
-            + sum(e * c for e, c in self.gl_pairs)
-        )
-
     def label(self) -> str:
         parts = [f"{self.a_plus}.{self.a_minus}"]
         parts.append("u" + "+".join(f"{b}x{d}" for d, b in self.unitary_pairs))
@@ -156,51 +133,21 @@ class SpType:
         return "|".join(parts)
 
 
-def enumerate_sp_types(n: int, q_even: bool, include_gl: bool = False) -> list[SpType]:
-    """All types of half-dimension n; a_minus = 0 when the field has even
-    size.  General-linear blocks are excluded by default because their
-    L-values vanish; include_gl=True gives the full census universe."""
+def enumerate_sp_types(n: int, q_even: bool) -> list[SpType]:
+    """All types of half-dimension n, general-linear blocks included;
+    a_minus = 0 when the field has even size.  No type repeats: a_minus
+    never exceeds a_plus and the blocks come in ascending order, so
+    SpType's canonical form is what is enumerated."""
     if n < 1:
         raise ValueError("n must be positive")
-    out: list[SpType] = []
-    seen: set = set()
-
-    def pair_multisets(remaining: int):
-        # multisets of (degree, multiplicity) with sum degree*multiplicity <= remaining
-        def rec(rem: int, chosen: list[tuple[int, int]], floor: tuple[int, int]):
-            yield tuple(chosen)
-            for d in range(1, rem + 1):
-                for b in range(1, rem // d + 1):
-                    if (d, b) < floor:
-                        continue
-                    yield from rec(rem - d * b, chosen + [(d, b)], (d, b))
-
-        yield from rec(remaining, [], (1, 1))
-
-    for a_plus in range(n + 1):
-        minus_range = [0] if q_even else range(a_plus + 1)
-        for a_minus in minus_range:
-            rest = n - a_plus - a_minus
-            if rest < 0:
-                continue
-            for up in pair_multisets(rest):
-                used = sum(d * b for d, b in up)
-                leftover = rest - used
-                if include_gl:
-                    for gp in pair_multisets(leftover):
-                        if sum(e * c for e, c in gp) == leftover:
-                            t = SpType(a_plus, a_minus, up, gp)
-                            key = (t.a_plus, t.a_minus, t.unitary_pairs, t.gl_pairs)
-                            if key not in seen:
-                                seen.add(key)
-                                out.append(t)
-                elif leftover == 0:
-                    t = SpType(a_plus, a_minus, up, ())
-                    key = (t.a_plus, t.a_minus, t.unitary_pairs, t.gl_pairs)
-                    if key not in seen:
-                        seen.add(key)
-                        out.append(t)
-    return out
+    return [
+        SpType(a_plus, a_minus, up, gp)
+        for a_plus in range(n + 1)
+        for a_minus in ([0] if q_even else range(min(a_plus, n - a_plus) + 1))
+        for up, left in _pair_multisets(n - a_plus - a_minus)
+        for gp, unused in _pair_multisets(left)
+        if not unused
+    ]
 
 
 def sp_centralizer_motive(t: SpType) -> ArtinTateMotive:
@@ -268,13 +215,6 @@ def _reciprocal_pair_count(e: int, q: int) -> int:
     return pairs
 
 
-def _falling(base: Fraction, k: int) -> Fraction:
-    acc = Fraction(1)
-    for i in range(k):
-        acc *= base - i
-    return acc
-
-
 def count_sp(t: SpType, q: int) -> int:
     """Number of semisimple classes of the given type over the field with q
     elements, as an exact integer."""
@@ -282,14 +222,14 @@ def count_sp(t: SpType, q: int) -> int:
         raise ValueError("eigenvalue -1 blocks require odd field size")
     value = Fraction(2 if t.a_plus != t.a_minus and q % 2 else 1)
     for blocks, counter in (
-        (t.unitary_pairs, lambda d: Fraction(s_count(2 * d, q))),
-        (t.gl_pairs, lambda e: Fraction(_reciprocal_pair_count(e, q))),
+        (t.unitary_pairs, lambda d: s_count(2 * d, q)),
+        (t.gl_pairs, lambda e: _reciprocal_pair_count(e, q)),
     ):
         by_degree: dict[int, list[int]] = {}
         for d, b in blocks:
             by_degree.setdefault(d, []).append(b)
         for d, bs in by_degree.items():
-            value *= _falling(counter(d), len(bs))
+            value *= math.perm(counter(d), len(bs))  # falling factorial
             for mult in set(bs):
                 value /= math.factorial(bs.count(mult))
     if value.denominator != 1 or value < 0:
@@ -308,13 +248,6 @@ class TableRow:
     sp_type: SpType
     count: "object"  # callable q -> Fraction
     det: SymbolicPolynomial
-
-
-def _det(*factors) -> SymbolicPolynomial:
-    acc = SymbolicPolynomial.constant(1)
-    for f in factors:
-        acc = acc * f
-    return acc
 
 
 @functools.cache
@@ -336,93 +269,93 @@ def table_goldens() -> dict[tuple[int, str], tuple[TableRow, ...]]:
         return TableRow(label, tp, count, det)
 
     sp4_odd = (
-        row("t1", SpType(2), lambda v: Fraction(2), _det(m1, m3)),
-        row("t2", SpType(1, 1), lambda v: Fraction(1), _det(m1, m1)),
-        row("t3", SpType(1, 0, [(1, 1)]), lambda v: Fraction(v - 1), _det(m1, one_plus_t)),
-        row("t4", SpType(0, 0, [(1, 2)]), lambda v: Fraction(v - 1, 2), _det(one_plus_t, m1)),
+        row("t1", SpType(2), lambda v: Fraction(2), m1 * m3),
+        row("t2", SpType(1, 1), lambda v: Fraction(1), m1 * m1),
+        row("t3", SpType(1, 0, [(1, 1)]), lambda v: Fraction(v - 1), m1 * one_plus_t),
+        row("t4", SpType(0, 0, [(1, 2)]), lambda v: Fraction(v - 1, 2), one_plus_t * m1),
         row(
             "t5",
             SpType(0, 0, [(1, 1), (1, 1)]),
             lambda v: Fraction((v - 1) * (v - 3), 8),
-            _det(one_plus_t, one_plus_t),
+            one_plus_t * one_plus_t,
         ),
         row("t6", SpType(0, 0, [(2, 1)]), lambda v: Fraction(v**2 - 1, 4), p2),
     )
     sp4_even = (
-        row("t1", SpType(2), lambda v: Fraction(1), _det(m1, m3)),
-        row("t3", SpType(1, 0, [(1, 1)]), lambda v: Fraction(v, 2), _det(m1, one_plus_t)),
-        row("t4", SpType(0, 0, [(1, 2)]), lambda v: Fraction(v, 2), _det(one_plus_t, m1)),
+        row("t1", SpType(2), lambda v: Fraction(1), m1 * m3),
+        row("t3", SpType(1, 0, [(1, 1)]), lambda v: Fraction(v, 2), m1 * one_plus_t),
+        row("t4", SpType(0, 0, [(1, 2)]), lambda v: Fraction(v, 2), one_plus_t * m1),
         row(
             "t5",
             SpType(0, 0, [(1, 1), (1, 1)]),
             lambda v: Fraction(v * (v - 2), 8),
-            _det(one_plus_t, one_plus_t),
+            one_plus_t * one_plus_t,
         ),
         row("t6", SpType(0, 0, [(2, 1)]), lambda v: Fraction(v**2, 4), p2),
     )
     sp6_odd = (
-        row("t1", SpType(3), lambda v: Fraction(2), _det(m1, m3, m5)),
-        row("t2", SpType(2, 1), lambda v: Fraction(2), _det(m1, m1, m3)),
-        row("t3", SpType(2, 0, [(1, 1)]), lambda v: Fraction(v - 1), _det(one_plus_t, m1, m3)),
-        row("t4", SpType(1, 1, [(1, 1)]), lambda v: Fraction(v - 1, 2), _det(one_plus_t, m1, m1)),
-        row("t5", SpType(1, 0, [(1, 2)]), lambda v: Fraction(v - 1), _det(one_plus_t, m1, m1)),
+        row("t1", SpType(3), lambda v: Fraction(2), m1 * m3 * m5),
+        row("t2", SpType(2, 1), lambda v: Fraction(2), m1 * m1 * m3),
+        row("t3", SpType(2, 0, [(1, 1)]), lambda v: Fraction(v - 1), one_plus_t * m1 * m3),
+        row("t4", SpType(1, 1, [(1, 1)]), lambda v: Fraction(v - 1, 2), one_plus_t * m1 * m1),
+        row("t5", SpType(1, 0, [(1, 2)]), lambda v: Fraction(v - 1), one_plus_t * m1 * m1),
         row(
             "t6",
             SpType(1, 0, [(1, 1), (1, 1)]),
             lambda v: Fraction((v - 1) * (v - 3), 4),
-            _det(one_plus_t, one_plus_t, m1),
+            one_plus_t * one_plus_t * m1,
         ),
-        row("t7", SpType(1, 0, [(2, 1)]), lambda v: Fraction(v**2 - 1, 2), _det(p2, m1)),
-        row("t8", SpType(0, 0, [(1, 3)]), lambda v: Fraction(v - 1, 2), _det(one_plus_t, m1, pq2)),
+        row("t7", SpType(1, 0, [(2, 1)]), lambda v: Fraction(v**2 - 1, 2), p2 * m1),
+        row("t8", SpType(0, 0, [(1, 3)]), lambda v: Fraction(v - 1, 2), one_plus_t * m1 * pq2),
         row(
             "t9",
             SpType(0, 0, [(1, 2), (1, 1)]),
             lambda v: Fraction((v - 1) * (v - 3), 4),
-            _det(one_plus_t, one_plus_t, m1),
+            one_plus_t * one_plus_t * m1,
         ),
         row(
             "t10",
             SpType(0, 0, [(1, 1), (1, 1), (1, 1)]),
             lambda v: Fraction((v - 1) * (v - 3) * (v - 5), 48),
-            _det(one_plus_t, one_plus_t, one_plus_t),
+            one_plus_t * one_plus_t * one_plus_t,
         ),
         row(
             "t11",
             SpType(0, 0, [(2, 1), (1, 1)]),
             lambda v: Fraction((v - 1) * (v**2 - 1), 8),
-            _det(one_plus_t, p2),
+            one_plus_t * p2,
         ),
         row("t12", SpType(0, 0, [(3, 1)]), lambda v: Fraction(v**3 - v, 6), p3),
     )
     sp6_even = (
-        row("t1", SpType(3), lambda v: Fraction(1), _det(m1, m3, m5)),
-        row("t3", SpType(2, 0, [(1, 1)]), lambda v: Fraction(v, 2), _det(one_plus_t, m1, m3)),
-        row("t5", SpType(1, 0, [(1, 2)]), lambda v: Fraction(v, 2), _det(one_plus_t, m1, m1)),
+        row("t1", SpType(3), lambda v: Fraction(1), m1 * m3 * m5),
+        row("t3", SpType(2, 0, [(1, 1)]), lambda v: Fraction(v, 2), one_plus_t * m1 * m3),
+        row("t5", SpType(1, 0, [(1, 2)]), lambda v: Fraction(v, 2), one_plus_t * m1 * m1),
         row(
             "t6",
             SpType(1, 0, [(1, 1), (1, 1)]),
             lambda v: Fraction(v * (v - 2), 8),
-            _det(one_plus_t, one_plus_t, m1),
+            one_plus_t * one_plus_t * m1,
         ),
-        row("t7", SpType(1, 0, [(2, 1)]), lambda v: Fraction(v**2, 4), _det(p2, m1)),
-        row("t8", SpType(0, 0, [(1, 3)]), lambda v: Fraction(v, 2), _det(one_plus_t, m1, pq2)),
+        row("t7", SpType(1, 0, [(2, 1)]), lambda v: Fraction(v**2, 4), p2 * m1),
+        row("t8", SpType(0, 0, [(1, 3)]), lambda v: Fraction(v, 2), one_plus_t * m1 * pq2),
         row(
             "t9",
             SpType(0, 0, [(1, 2), (1, 1)]),
             lambda v: Fraction(v * (v - 2), 4),
-            _det(one_plus_t, one_plus_t, m1),
+            one_plus_t * one_plus_t * m1,
         ),
         row(
             "t10",
             SpType(0, 0, [(1, 1), (1, 1), (1, 1)]),
             lambda v: Fraction(v * (v - 2) * (v - 4), 48),
-            _det(one_plus_t, one_plus_t, one_plus_t),
+            one_plus_t * one_plus_t * one_plus_t,
         ),
         row(
             "t11",
             SpType(0, 0, [(2, 1), (1, 1)]),
             lambda v: Fraction(v**3, 8),
-            _det(one_plus_t, p2),
+            one_plus_t * p2,
         ),
         row("t12", SpType(0, 0, [(3, 1)]), lambda v: Fraction(v**3 - v, 6), p3),
     )

@@ -150,7 +150,4 @@ def h0_factors(degrees: Iterable[int], motive: ArtinTateMotive, t="t", q="q") ->
 def h0_det(degrees: Iterable[int], motive: ArtinTateMotive, t="t", q="q") -> SymbolicPolynomial:
     """Frobenius determinant on global sections over the listed places, in
     the variables named t and q."""
-    acc = SymbolicPolynomial.constant(1)
-    for factor in h0_factors(degrees, motive, t, q):
-        acc = acc * factor
-    return acc
+    return math.prod(h0_factors(degrees, motive, t, q), start=SymbolicPolynomial.constant(1))

@@ -149,6 +149,26 @@ def _is_prime(r: int) -> bool:
     return True
 
 
+def factorize(n: int) -> list[tuple[int, int]]:
+    """The prime factorization of n >= 1 by trial division, as (p, e) pairs
+    in ascending order of p."""
+    if n < 1:
+        raise ValueError("argument must be positive")
+    out = []
+    p = 2
+    while p * p <= n:
+        if n % p == 0:
+            e = 0
+            while n % p == 0:
+                n //= p
+                e += 1
+            out.append((p, e))
+        p += 1 if p == 2 else 2
+    if n > 1:
+        out.append((n, 1))
+    return out
+
+
 def prime_power(q: int) -> tuple[int, int]:
     """The prime p and exponent k with q = p^k; ValueError when q is not a
     prime power.  The largest k with q a perfect k-th power is found by
@@ -272,23 +292,22 @@ class IntPolynomial:
 
 
 def format_univariate(coeffs, var: str) -> str:
-    if not any(coeffs):
-        return "0"
-    parts = []
+    terms = []
     for i, c in enumerate(coeffs):
-        if c == 0:
-            continue
-        mag = abs(c)
-        if i == 0:
-            body = str(mag)
-        else:
+        if c:
+            mag = abs(c)
             vp = var if i == 1 else f"{var}^{i}"
-            body = vp if mag == 1 else f"{mag}*{vp}"
-        if not parts:
-            parts.append(("-" if c < 0 else "") + body)
-        else:
-            parts.append((" - " if c < 0 else " + ") + body)
-    return "".join(parts)
+            terms.append((c, str(mag) if i == 0 else vp if mag == 1 else f"{mag}*{vp}"))
+    return _signed_sum(terms)
+
+
+def _signed_sum(terms: Iterable[tuple[int, str]]) -> str:
+    """Join (coefficient, body) pairs, each body showing the coefficient's
+    magnitude, as "a - b + c" with a bare leading sign; "0" when empty."""
+    text = "".join((" - " if c < 0 else " + ") + body for c, body in terms)
+    if not text:
+        return "0"
+    return ("-" if text[1] == "-" else "") + text[3:]
 
 
 @functools.cache
@@ -453,7 +472,9 @@ def _guard_bits(fields: int) -> int:
     return ((1 << (_W * fields)) - 1) // _FIELD << (_W - 1)
 
 
-def _check_degree(d: int) -> None:
+def check_degree(d: int) -> None:
+    """Raise OverflowError when the exponent d does not fit a packed
+    monomial's field, so a caller can refuse a size before any work."""
     if d >= _LIMIT:
         raise OverflowError(f"an exponent reached 2^{_W - 1}")
 
@@ -489,7 +510,7 @@ class SymbolicPolynomial:
             if c:
                 if min(exps, default=0) < 0:
                     raise ValueError(f"negative exponent in {exps}")
-                _check_degree(max(exps, default=0))
+                check_degree(max(exps, default=0))
                 packed[sum(e << s for e, s in zip(exps, shifts, strict=True))] = c
         self._init(vars, packed)
 
@@ -537,7 +558,7 @@ class SymbolicPolynomial:
 
     @staticmethod
     def from_int_poly(p: IntPolynomial, var: str) -> "SymbolicPolynomial":
-        _check_degree(p.degree)
+        check_degree(p.degree)
         s = _shift(var)
         return SymbolicPolynomial._new((var,), {i << s: c for i, c in enumerate(p.coeffs) if c})
 
@@ -545,9 +566,6 @@ class SymbolicPolynomial:
 
     def is_zero(self) -> bool:
         return not self._packed
-
-    def is_constant(self) -> bool:
-        return not self.vars
 
     def constant_value(self) -> int:
         if self.vars:
@@ -685,7 +703,7 @@ class SymbolicPolynomial:
         for v in self.vars:
             if v in which:
                 s = _SHIFTS[v]
-                _check_degree(max(e >> s & _FIELD for e in self._packed) * factor)
+                check_degree(max(e >> s & _FIELD for e in self._packed) * factor)
                 mask |= _FIELD << s
         return self._exact(self.vars, {e + (e & mask) * (factor - 1): c for e, c in self._packed.items()})
 
@@ -830,30 +848,17 @@ class SymbolicPolynomial:
 
     def __str__(self) -> str:
         terms = self.terms
-        if not terms:
-            return "0"
-        keys = sorted(terms, key=lambda e: (sum(e), e))
         parts = []
-        for exps in keys:
+        for exps in sorted(terms, key=lambda e: (sum(e), e)):
             c = terms[exps]
             mag = abs(c)
-            factors = []
-            for v, e in zip(self.vars, exps):
-                if e == 1:
-                    factors.append(v)
-                elif e > 1:
-                    factors.append(f"{v}^{e}")
-            if not factors:
+            body = "*".join(v if e == 1 else f"{v}^{e}" for v, e in zip(self.vars, exps) if e)
+            if not body:
                 body = str(mag)
-            else:
-                body = "*".join(factors)
-                if mag != 1:
-                    body = f"{mag}*{body}"
-            if not parts:
-                parts.append(("-" if c < 0 else "") + body)
-            else:
-                parts.append((" - " if c < 0 else " + ") + body)
-        return "".join(parts)
+            elif mag != 1:
+                body = f"{mag}*{body}"
+            parts.append((c, body))
+        return _signed_sum(parts)
 
     def __repr__(self) -> str:
         return f"SymbolicPolynomial('{self}')"

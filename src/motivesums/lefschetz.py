@@ -25,7 +25,7 @@ import operator
 from fractions import Fraction
 from typing import Iterable, Union
 
-from .exactalg import BudgetError, cyclotomic, dense_divmod, dense_mul, monic_head, power_by_squaring
+from .exactalg import BudgetError, cyclotomic, dense_divmod, dense_mul, factorize, monic_head, power_by_squaring
 
 RationalLike = Union[int, Fraction]
 
@@ -42,17 +42,11 @@ def _check_reduction(n: int) -> None:
     composite n, whose least prime factor p <= sqrt(n) gives
     n - phi(n) >= n / p >= sqrt(n), while phi(n) >= sqrt(n / 2).  So an n
     above 2 * REDUCTION_BUDGET is refused without factoring it, and phi(n)
-    is found by trial division below that."""
+    is found from the factorization below that."""
     if n <= 2 * REDUCTION_BUDGET:
-        phi, rest, p = n, n, 2
-        while p * p <= rest:
-            if rest % p == 0:
-                phi -= phi // p
-                while rest % p == 0:
-                    rest //= p
-            p += 1
-        if rest > 1:
-            phi -= phi // rest
+        phi = n
+        for p, _ in factorize(n):
+            phi -= phi // p
         if (n - phi) * phi <= REDUCTION_BUDGET:
             return
     raise BudgetError(f"index {n}: one reduction modulo Phi_{n} exceeds {REDUCTION_BUDGET} steps")
@@ -226,11 +220,6 @@ class CyclotomicRational:
         if not self.is_rational():
             raise ValueError("element is not rational")
         return Fraction(self.num[0], self.den)
-
-    def is_integral(self) -> bool:
-        """True when all power-basis coordinates are integers (the power
-        basis is an integral basis for cyclotomic fields)."""
-        return self.den == 1
 
     def divided_exactly(self, k: int) -> "CyclotomicRational":
         """Divide by the integer k, asserting coordinate-wise divisibility."""
@@ -409,16 +398,6 @@ class LefschetzFunction:
     def evaluate_rational(self, m: int) -> Fraction:
         return self.evaluate(m).as_rational()
 
-    def is_integer_valued(self, up_to: int | None = None) -> bool:
-        """Pointwise check that f(m) is a rational integer for
-        m = 1 .. up_to (default: the number of terms)."""
-        bound = up_to if up_to is not None else max(1, len(self._terms))
-        for m in range(1, bound + 1):
-            v = self.evaluate(m)
-            if not v.is_rational() or v.as_rational().denominator != 1:
-                return False
-        return True
-
     def __str__(self) -> str:
         if not self._terms:
             return "0"
@@ -450,16 +429,8 @@ def f_N_transform(f: LefschetzFunction, n: int) -> LefschetzFunction:
         raise ValueError("transform index must be positive")
     _check_reduction(math.lcm(n, f._index()))
     result = f
-    remaining = n
-    p = 2
-    while remaining > 1:
-        if remaining % p == 0:
-            e = 0
-            while remaining % p == 0:
-                remaining //= p
-                e += 1
-            result = _prime_power_transform(result, p, e)
-        p += 1 if p == 2 else 2
+    for p, e in factorize(n):
+        result = _prime_power_transform(result, p, e)
     return result
 
 
@@ -482,7 +453,4 @@ def place_product(f: LefschetzFunction, degrees: Iterable[int]) -> LefschetzFunc
     if any(d < 1 for d in degrees):
         raise ValueError("transform index must be positive")
     _check_reduction(math.lcm(f._index(), *degrees))
-    acc = LefschetzFunction.constant(1)
-    for d in degrees:
-        acc = acc * f_N_transform(f, d)
-    return acc
+    return math.prod((f_N_transform(f, d) for d in degrees), start=LefschetzFunction.constant(1))

@@ -87,9 +87,10 @@ def z_polynomial(
     Raises NotPolynomial when the twisting list is empty and the value is
     genuinely rational.
     """
-    f1 = SymbolicPolynomial.constant(1)
-    for name in j_variable_names(symbolic_j):
-        f1 = f1 * h0_det((1,), motive, t=name, q="x")
+    f1 = math.prod(
+        (h0_det((1,), motive, t=name, q="x") for name in j_variable_names(symbolic_j)),
+        start=SymbolicPolynomial.constant(1),
+    )
 
     f23 = IntPolynomial((1,))
     for f, w in h0_quotient_factors(curve.s_degrees, motive):

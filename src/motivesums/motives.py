@@ -8,8 +8,6 @@ piece-wise and restriction of scalars rescales the Frobenius variable.
 from __future__ import annotations
 
 import dataclasses
-import json
-from typing import Union
 
 from .curves import h0_det, h0_factors
 from .exactalg import IntPolynomial, SymbolicPolynomial
@@ -96,17 +94,13 @@ class ArtinTateMotive:
         return h0_factors((1,), self)
 
 
-GroupSpec = Union[dict, str]
-
-
-def parse_group_spec(spec: GroupSpec) -> dict:
-    """Accept a JSON string or an already-parsed dict describing a group.
+def parse_group_spec(spec: dict) -> dict:
+    """Check that spec is an already-parsed group description, a dict with
+    one key; anything else, a JSON string included, raises ValueError.
 
     Recognized shapes: {"GL": n}, {"SL": n}, {"U": n}, {"Sp": 2n},
     {"SO": 2n+1}, {"Res": [d, inner]}, {"Product": [inner, ...]}.
     """
-    if isinstance(spec, str):
-        spec = json.loads(spec)
     if not isinstance(spec, dict) or len(spec) != 1:
         raise ValueError("group description must be a single-key object")
     return spec
@@ -116,7 +110,7 @@ ONE_MINUS_U = IntPolynomial((1, -1))
 ONE_PLUS_U = IntPolynomial((1, 1))
 
 
-def motive_of(spec: GroupSpec) -> ArtinTateMotive:
+def motive_of(spec: dict) -> ArtinTateMotive:
     """Weight-graded Frobenius data of a group given by a nested description.
 
     >>> [p.weight for p in motive_of({"Sp": 4}).pieces]

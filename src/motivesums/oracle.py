@@ -13,7 +13,6 @@ from typing import Iterable
 from .classtypes import SLType, SpType, enumerate_sl_types, enumerate_sp_types
 from .exactalg import BudgetError, InexactDivision, InvariantError, dense_divmod, dense_mul, monic_head
 from .exactalg import power_by_squaring, prime_power
-from .motives import parse_group_spec
 
 
 class FiniteField:
@@ -249,7 +248,7 @@ def sp_census(n: int, field: FiniteField) -> dict[SpType, int]:
     if field.q**n > 10**6:
         raise BudgetError("enumeration over budget; use the counting formulas")
     q_even = field.p == 2
-    tally = {t: 0 for t in enumerate_sp_types(n, q_even=q_even, include_gl=True)}
+    tally = {t: 0 for t in enumerate_sp_types(n, q_even=q_even)}
     one = 1
     minus_one = field.embed(-1)
     plus_root = (minus_one, one)  # x - 1
@@ -306,71 +305,3 @@ def self_reciprocal_irreducible_census(field: FiniteField, two_n: int) -> int:
             count += 1
     return count
 
-
-# ---------------------------------------------------------------------------
-# tiny matrix census
-# ---------------------------------------------------------------------------
-
-
-def matrix_census_tiny(spec, field: FiniteField) -> dict[tuple[int, ...], int]:
-    """Conjugacy classes of semisimple elements of the rank-1 group over the
-    field, keyed by characteristic polynomial; checks agreement with the
-    polynomial-level census."""
-    spec = parse_group_spec(spec)
-    ((kind, size),) = spec.items()
-    if kind not in ("SL", "Sp") or size != 2:
-        raise ValueError("matrix census is implemented for SL(2) = Sp(2) only")
-    q = field.q
-    order = q * (q * q - 1)
-    if order > 10**5:
-        raise BudgetError("group order over budget")
-    group = []
-    for a, b, c, d in itertools.product(range(q), repeat=4):
-        det = field.sub(field.mul(a, d), field.mul(b, c))
-        if det == 1:
-            group.append((a, b, c, d))
-    if len(group) != order:
-        raise InvariantError("determinant-one census does not match the group order")
-
-    def mat_mul(m1, m2):
-        a, b, c, d = m1
-        e, f, g, h = m2
-        return (
-            field.add(field.mul(a, e), field.mul(b, g)),
-            field.add(field.mul(a, f), field.mul(b, h)),
-            field.add(field.mul(c, e), field.mul(d, g)),
-            field.add(field.mul(c, f), field.mul(d, h)),
-        )
-
-    identity = (1, 0, 0, 1)
-
-    def element_order(m):
-        acc, e = m, 1
-        while acc != identity:
-            acc = mat_mul(acc, m)
-            e += 1
-        return e
-
-    def inverse(m):
-        a, b, c, d = m  # determinant is 1
-        return (d, field.neg(b), field.neg(c), a)
-
-    semisimple = [m for m in group if element_order(m) % field.p != 0]
-    classes: dict[tuple[int, ...], int] = {}
-    visited = set()
-    for m in semisimple:
-        if m in visited:
-            continue
-        orbit = {mat_mul(mat_mul(g, m), inverse(g)) for g in group}
-        visited |= orbit
-        a, b, c, d = m
-        charpoly = (
-            field.sub(field.mul(a, d), field.mul(b, c)),
-            field.neg(field.add(a, d)),
-            1,
-        )
-        classes[charpoly] = classes.get(charpoly, 0) + 1
-    total_polys = sum(sl_census(2, field).values())
-    if sum(classes.values()) != total_polys:
-        raise InvariantError("class/polynomial census mismatch")
-    return classes

@@ -1,6 +1,7 @@
 """Tests for class sums and the symbolic integrality certificates."""
 import hashlib
 import math
+import time
 from fractions import Fraction
 
 import pytest
@@ -67,7 +68,7 @@ def test_vanishing_filter_matches_symbolic_determinant():
         sp_centralizer_motive(t)
         for n in (1, 2, 3)
         for q_even in (False, True)
-        for t in enumerate_sp_types(n, q_even=q_even, include_gl=True)
+        for t in enumerate_sp_types(n, q_even=q_even)
     ]
     verdicts = [_vanishes_at_one(m) for m in motives]
     assert verdicts == [m.frobenius_det().substitute({"t": 1}).is_zero() for m in motives]
@@ -141,6 +142,24 @@ def test_sl_prime_primitive_root_agreement():
 def test_sl_prime_rejects_composite():
     with pytest.raises(ValueError):
         sl_prime_certificate(4, 1)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: sl_prime_certificate(10**9 + 7, 1),  # a prime
+        lambda: sl_script_p(10**9, 1),
+        lambda: sl_script_p(2, 1, n_prime=5 * 10**8),
+    ],
+    ids=["sl-prime", "sl-script-p", "sl-script-p-scaled"],
+)
+def test_oversized_certificates_are_refused_before_any_work(build):
+    # the degree in x reaches the exponent limit; without the early check the
+    # primality test, divisor list or dense coefficient list is O(size)
+    start = time.perf_counter()
+    with pytest.raises(OverflowError, match="exponent reached"):
+        build()
+    assert time.perf_counter() - start < 1
 
 
 @pytest.mark.parametrize("l", [2, 3, 5])

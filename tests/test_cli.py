@@ -176,6 +176,13 @@ def test_malformed_json_exits_2(capsys):
         (["motive", " [1, 2]"], "group description must be a single-key object"),
         (["lfun", "7", '{"SL": 2}'], "curve description must be a JSON object"),
         (["lfun", "-1", '{"SL": 2}'], "curve description must be a JSON object"),
+        # a group description is decoded once: a JSON string is not an object
+        (["motive", '"{\\"Sp\\": 4}"'], "group description must be a single-key object"),
+        (["motive", '{"Res": [2, "{\\"GL\\": 1}"]}'], "group description must be a single-key object"),
+        (["motive", '"SL"'], "group description must be a single-key object"),
+        # certificate sizes are checked before any work
+        (["certificate", "--family", "sl-prime", "--params", '{"l": 1000000007}'], "exponent reached"),
+        (["certificate", "--family", "sl-general", "--params", '{"n": 1000000000, "r": 1}'], "exponent reached"),
     ],
 )
 def test_bad_numbers_exit_2_with_one_line(capsys, argv, message):

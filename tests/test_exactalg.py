@@ -5,6 +5,7 @@ independent oracles implemented here: a Sylvester-matrix determinant over
 Fraction, explicit root-multiset products, and the characteristic polynomial
 of a power of the companion matrix.
 """
+import math
 import sys
 import threading
 import time
@@ -21,6 +22,7 @@ from motivesums.exactalg import (
     IntPolynomial,
     SymbolicPolynomial,
     cyclotomic,
+    factorize,
     poly_gcd,
     prime_power,
     resultant,
@@ -231,6 +233,36 @@ def test_prime_power_refuses_roots_beyond_the_primality_bound():
     for q in (big, big**2):
         with pytest.raises(ValueError, match=str(exactalg.MR_BOUND)):
             prime_power(q)
+
+
+def is_prime_by_definition(p: int) -> bool:
+    return p >= 2 and all(p % d for d in range(2, p))
+
+
+@given(st.integers(1, 5000))
+def test_factorize_matches_brute_force_definitions(n):
+    from motivesums.classtypes import moebius
+
+    factors = factorize(n)
+    primes = [p for p, _ in factors]
+    assert primes == sorted(set(primes))
+    assert all(is_prime_by_definition(p) and e >= 1 for p, e in factors)
+    assert math.prod(p**e for p, e in factors) == n
+    # mu(n) is 0 when a square above 1 divides n, else -1 to the number of
+    # prime divisors; phi(n) counts the residues prime to n
+    squarefree = all(n % (d * d) for d in range(2, math.isqrt(n) + 1))
+    omega = sum(1 for p in range(2, n + 1) if n % p == 0 and is_prime_by_definition(p))
+    mu = (-1) ** omega if squarefree else 0
+    assert (0 if any(e > 1 for _, e in factors) else (-1) ** len(factors)) == mu
+    assert moebius(n) == mu
+    phi = sum(1 for k in range(1, n + 1) if math.gcd(k, n) == 1)
+    assert math.prod(p ** (e - 1) * (p - 1) for p, e in factors) == phi
+
+
+def test_factorize_rejects_nonpositive():
+    for n in (0, -4):
+        with pytest.raises(ValueError):
+            factorize(n)
 
 
 # ---------------------------------------------------------------------------

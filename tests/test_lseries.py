@@ -177,7 +177,7 @@ def _z_by_substitution(motive, curve, symbolic_j):
 
     def quotient(degrees):
         h0 = h0_det(degrees, motive).substitute({"q": x})
-        if det_x.is_constant():
+        if not det_x.vars:
             if det_x != 1:
                 raise NotPolynomial("constant determinant")
             return h0
@@ -232,7 +232,7 @@ def _full_product_route(motive, curve, symbolic_j):
 
     def quotient(degrees):
         h0 = h0_det(degrees, motive, q="x")
-        if det_x.is_constant():
+        if not det_x.vars:
             if det_x != 1:
                 raise NotPolynomial("constant determinant")
             return h0

@@ -60,7 +60,10 @@ def test_restriction_of_scalars_rescales_frobenius():
 
 
 def test_json_string_input():
-    assert weights(motive_of('{"Sp": 4}')) == [2, 4]
+    # a description is decoded once, by the caller: a JSON string is not one
+    assert weights(motive_of({"Sp": 4})) == [2, 4]
+    with pytest.raises(ValueError, match="single-key object"):
+        motive_of('{"Sp": 4}')
 
 
 def test_quotient_trivial_removes_one_eigenvalue():

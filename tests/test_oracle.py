@@ -1,4 +1,5 @@
 """Tests for the brute-force finite-field oracles."""
+import itertools
 import math
 
 import pytest
@@ -12,13 +13,13 @@ from motivesums.classtypes import (
     s_count,
     table_goldens,
 )
-from motivesums.exactalg import InexactDivision
+from motivesums.exactalg import InexactDivision, InvariantError
+from motivesums.motives import parse_group_spec
 from motivesums.oracle import (
     BudgetError,
     FiniteField,
     factor_monic,
     irreducible_monics,
-    matrix_census_tiny,
     self_reciprocal_irreducible_census,
     sl_census,
     sp_census,
@@ -216,6 +217,70 @@ def test_self_reciprocal_examples():
 # ---------------------------------------------------------------------------
 # matrix-level census
 # ---------------------------------------------------------------------------
+
+
+def matrix_census_tiny(spec, field: FiniteField) -> dict[tuple[int, ...], int]:
+    """Conjugacy classes of semisimple elements of the rank-1 group over the
+    field, keyed by characteristic polynomial; an independent reference that
+    checks agreement with the polynomial-level census."""
+    spec = parse_group_spec(spec)
+    ((kind, size),) = spec.items()
+    if kind not in ("SL", "Sp") or size != 2:
+        raise ValueError("matrix census is implemented for SL(2) = Sp(2) only")
+    q = field.q
+    order = q * (q * q - 1)
+    if order > 10**5:
+        raise BudgetError("group order over budget")
+    group = []
+    for a, b, c, d in itertools.product(range(q), repeat=4):
+        det = field.sub(field.mul(a, d), field.mul(b, c))
+        if det == 1:
+            group.append((a, b, c, d))
+    if len(group) != order:
+        raise InvariantError("determinant-one census does not match the group order")
+
+    def mat_mul(m1, m2):
+        a, b, c, d = m1
+        e, f, g, h = m2
+        return (
+            field.add(field.mul(a, e), field.mul(b, g)),
+            field.add(field.mul(a, f), field.mul(b, h)),
+            field.add(field.mul(c, e), field.mul(d, g)),
+            field.add(field.mul(c, f), field.mul(d, h)),
+        )
+
+    identity = (1, 0, 0, 1)
+
+    def element_order(m):
+        acc, e = m, 1
+        while acc != identity:
+            acc = mat_mul(acc, m)
+            e += 1
+        return e
+
+    def inverse(m):
+        a, b, c, d = m  # determinant is 1
+        return (d, field.neg(b), field.neg(c), a)
+
+    semisimple = [m for m in group if element_order(m) % field.p != 0]
+    classes: dict[tuple[int, ...], int] = {}
+    visited = set()
+    for m in semisimple:
+        if m in visited:
+            continue
+        orbit = {mat_mul(mat_mul(g, m), inverse(g)) for g in group}
+        visited |= orbit
+        a, b, c, d = m
+        charpoly = (
+            field.sub(field.mul(a, d), field.mul(b, c)),
+            field.neg(field.add(a, d)),
+            1,
+        )
+        classes[charpoly] = classes.get(charpoly, 0) + 1
+    total_polys = sum(sl_census(2, field).values())
+    if sum(classes.values()) != total_polys:
+        raise InvariantError("class/polynomial census mismatch")
+    return classes
 
 
 def test_matrix_census_sl2():

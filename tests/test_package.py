@@ -72,3 +72,52 @@ def test_cli_runs_under_python_3_10():
         py310 = subprocess.run(["python3.10", "-m", "motivesums", *args], capture_output=True, text=True, env=env)
         assert (py310.returncode, py310.stderr) == (0, "")
         assert py310.stdout == mine.stdout
+
+
+def _definitions_without_callers() -> list[str]:
+    """Module-level functions and classes, and the methods of those classes,
+    that are not dunders and whose name occurs nowhere in src/ outside their
+    own definition, as a Name or an attribute."""
+    trees = [ast.parse(path.read_text(encoding="utf-8")) for path in SOURCES]
+    definitions = []  # (label, name, tree index, first line, last line)
+    for i, tree in enumerate(trees):
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            definitions.append((node.name, node.name, i, node.lineno, node.end_lineno))
+            if isinstance(node, ast.ClassDef):
+                definitions += [
+                    (f"{node.name}.{item.name}", item.name, i, item.lineno, item.end_lineno)
+                    for item in node.body
+                    if isinstance(item, ast.FunctionDef)
+                ]
+    references: dict[str, list[tuple[int, int]]] = {}
+    for i, tree in enumerate(trees):
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                references.setdefault(node.id, []).append((i, node.lineno))
+            elif isinstance(node, ast.Attribute):
+                references.setdefault(node.attr, []).append((i, node.lineno))
+    return sorted(
+        label
+        for label, name, i, first, last in definitions
+        if not (name.startswith("__") and name.endswith("__"))
+        and not any(j != i or not first <= line <= last for j, line in references.get(name, []))
+    )
+
+
+def test_every_public_name_has_a_caller_in_src():
+    # one routine per job, and no API that only a test calls.  These stay
+    # only because the benchmark's traced run wraps them (tests also call
+    # frobenius_det); the change to the benchmark that stops wrapping them
+    # empties this list.
+    benchmark_wrapped = [
+        "ArtinTateMotive.frobenius_det",
+        "FiniteField.poly_mul",
+        "SymbolicPolynomial.coefficient_in",
+        "SymbolicPolynomial.exact_div",
+        "SymbolicPolynomial.map_coefficients",
+        "SymbolicPolynomial.scale_exponents",
+        "irreducible_monics",
+    ]
+    assert _definitions_without_callers() == benchmark_wrapped
