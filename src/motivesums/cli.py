@@ -71,7 +71,7 @@ def _curve_from(source: str, q_override: int | None = None) -> CurveDatum:
             raise _InputError(f"{key} must be a list of integers, got {values!r}")
         for value in values:
             _integer(value, key)
-    return CurveDatum.from_json(data)
+    return CurveDatum(data["q"], data["weil_numerator"], data["s_degrees"], data.get("t_degrees", ()))
 
 
 def _integer(value, name: str) -> None:

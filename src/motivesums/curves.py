@@ -9,14 +9,13 @@ degree d into gcd(d, m) places of degree d / gcd(d, m).
 from __future__ import annotations
 
 import dataclasses
-import json
 import math
 from typing import TYPE_CHECKING, Iterable, Iterator
 
 from .exactalg import IntPolynomial, SymbolicPolynomial, prime_power, root_power_transform
 
 if TYPE_CHECKING:
-    from .motives import ArtinTateMotive
+    from .motives import ArtinTateMotive, GradedPiece
 
 
 @dataclasses.dataclass(frozen=True)
@@ -49,16 +48,6 @@ class CurveDatum:
         object.__setattr__(self, "weil_numerator", p)
         object.__setattr__(self, "s_degrees", s)
         object.__setattr__(self, "t_degrees", t)
-
-    @staticmethod
-    def from_json(text: str | dict) -> "CurveDatum":
-        data = json.loads(text) if isinstance(text, str) else text
-        return CurveDatum(
-            q=data["q"],
-            weil_numerator=data["weil_numerator"],
-            s_degrees=data["s_degrees"],
-            t_degrees=data.get("t_degrees", ()),
-        )
 
     @property
     def genus(self) -> int:
@@ -105,15 +94,14 @@ def charpoly_of_power(c: IntPolynomial, e: int) -> IntPolynomial:
     return out
 
 
-def det_factor_terms(degrees: Iterable[int], motive: ArtinTateMotive) -> Iterator[list[tuple[int, int, int]]]:
+def _place_factors(degrees: Iterable[int], motive: ArtinTateMotive) -> Iterator[tuple[int, GradedPiece, IntPolynomial]]:
     """The factors of the Frobenius determinant on global sections over the
-    listed places: for a place of degree e and a piece (w, c), the terms
-    (coefficient, exponent of t, exponent of q) of c_e(t^e * q^(e*(w-1))),
-    where c_e = charpoly_of_power(c, e)."""
-    for e in degrees:
+    listed places, as (place index, piece, c_e(U^e)) for a place of degree
+    e and a piece (w, c), with c_e = charpoly_of_power(c, e) and
+    U = t * q^(w-1)."""
+    for i, e in enumerate(degrees):
         for p in motive.pieces:
-            k = e * (p.weight - 1)
-            yield [(c, i * e, i * k) for i, c in enumerate(charpoly_of_power(p.charpoly, e).coeffs) if c]
+            yield i, p, charpoly_of_power(p.charpoly, e).substitute_power(e)
 
 
 def h0_quotient_factors(degrees: Iterable[int], motive: ArtinTateMotive) -> list[tuple[IntPolynomial, int]]:
@@ -128,22 +116,21 @@ def h0_quotient_factors(degrees: Iterable[int], motive: ArtinTateMotive) -> list
     if not degrees:
         raise ValueError("the determinant quotient needs at least one place")
     out = []
-    for i, e in enumerate(degrees):
-        for p in motive.pieces:
-            f = charpoly_of_power(p.charpoly, e).substitute_power(e)
-            if i == 0:
-                f = f / p.charpoly
-            if f.degree > 0:
-                out.append((f, p.weight))
+    for i, p, f in _place_factors(degrees, motive):
+        if i == 0:
+            f = f / p.charpoly
+        if f.degree > 0:
+            out.append((f, p.weight))
     return out
 
 
 def h0_factors(degrees: Iterable[int], motive: ArtinTateMotive, t="t", q="q") -> list[SymbolicPolynomial]:
-    """det_factor_terms as polynomials in the variables named t and q; an
-    exponent out of range raises OverflowError before anything is multiplied."""
+    """The factors c_e(U^e) of _place_factors as polynomials in the
+    variables named t and q, U^j becoming t^j * q^(j*(w-1)); an exponent
+    out of range raises OverflowError before anything is multiplied."""
     return [
-        SymbolicPolynomial((t, q), {(te, qe): c for c, te, qe in terms})
-        for terms in det_factor_terms(degrees, motive)
+        SymbolicPolynomial((t, q), {(j, j * (p.weight - 1)): c for j, c in enumerate(f.coeffs) if c})
+        for _, p, f in _place_factors(degrees, motive)
     ]
 
 

@@ -323,83 +323,57 @@ def cyclotomic(n: int) -> IntPolynomial:
     return poly
 
 
+def remainder_sequence(a, b):
+    """Euclid's algorithm over Q on coefficient sequences in ascending order,
+    b without trailing zeros: yields (quotient, divisor, remainder) of each
+    dense_divmod step until a remainder is zero, so the last divisor is a
+    gcd.  Coefficients stay ints while each division by a leading
+    coefficient is exact, and become Fractions after that."""
+    while b:
+        quo, rem = dense_divmod(a, b, operator.sub, operator.mul, _rational_div)
+        yield quo, b, rem
+        a, b = b, rem
+
+
+def _rational_div(a, lc):
+    if type(a) is int and type(lc) is int and not a % lc:
+        return a // lc
+    return Fraction(a, lc)
+
+
 def poly_gcd(a: IntPolynomial, b: IntPolynomial) -> IntPolynomial:
-    """Greatest common divisor over Z, primitive with positive leading
-    coefficient, via the primitive PRS."""
-    if a.is_zero():
-        return _positive_primitive(b)
-    if b.is_zero():
-        return _positive_primitive(a)
-    ca, cb = a.content(), b.content()
-    a = IntPolynomial(c // ca for c in a.coeffs)
-    b = IntPolynomial(c // cb for c in b.coeffs)
-    while not b.is_zero():
-        r = _pseudo_rem(a, b)
-        a, b = b, _positive_primitive(r) if not r.is_zero() else IntPolynomial()
-    g = _positive_primitive(a)
-    return IntPolynomial(c * math.gcd(ca, cb) for c in g.coeffs)
-
-
-def _positive_primitive(p: IntPolynomial) -> IntPolynomial:
-    if p.is_zero():
-        return p
-    c = p.content()
-    if p.leading() < 0:
-        c = -c
-    return IntPolynomial(x // c for x in p.coeffs)
-
-
-def _pseudo_rem(a: IntPolynomial, b: IntPolynomial) -> IntPolynomial:
-    if a.degree < b.degree:
-        return a
-    scale = b.leading() ** (a.degree - b.degree + 1)
-    _, r = divmod(a * scale, b)
-    return r
+    """Greatest common divisor over Z with positive leading coefficient: the
+    last divisor of the remainder sequence, made primitive and multiplied by
+    the gcd of the contents.  When one argument is zero, the other's
+    primitive part."""
+    g = a.coeffs  # the gcd when b is zero, as the sequence is then empty
+    for _, g, _ in remainder_sequence(a.coeffs, b.coeffs):
+        pass
+    if not g:
+        return IntPolynomial()
+    den = math.lcm(*(c.denominator for c in g))
+    g = [int(c * den) for c in g]
+    unit = math.gcd(*g) if g[-1] > 0 else -math.gcd(*g)
+    scale = math.gcd(a.content(), b.content()) if a.coeffs and b.coeffs else 1
+    return IntPolynomial(c // unit * scale for c in g)
 
 
 def resultant(p: IntPolynomial, q: IntPolynomial) -> int:
-    """Resultant by the subresultant PRS; equals the Sylvester determinant."""
+    """The resultant (the Sylvester determinant), folded exactly over the
+    remainder sequence: Res(a, c) = c^(deg a) for a constant c, and with
+    r = a mod b, Res(a, b) = (-1)^(deg a * deg b) * lc(b)^(deg a - deg r) *
+    Res(b, r), which is 0 when r = 0 and b is not constant."""
     if p.is_zero() or q.is_zero():
         raise ValueError("resultant of the zero polynomial is undefined")
-    if p.degree == 0:
-        return p.coeffs[0] ** q.degree
-    if q.degree == 0:
-        return q.coeffs[0] ** p.degree
-    s = 1
-    if p.degree < q.degree:
-        if p.degree % 2 and q.degree % 2:
-            s = -s
-        p, q = q, p
-    a = p.content()
-    b = q.content()
-    t = s * a ** q.degree * b ** p.degree
-    A = IntPolynomial(c // a for c in p.coeffs)
-    B = IntPolynomial(c // b for c in q.coeffs)
-    g = h = 1
-    s = 1
-    while True:
-        delta = A.degree - B.degree
-        if A.degree % 2 and B.degree % 2:
-            s = -s
-        R = _pseudo_rem(A, B)
-        A = B
-        if R.is_zero():
-            if A.degree > 0:
-                return 0
-            break
-        B = IntPolynomial(c // (g * h**delta) for c in R.coeffs)
-        g = A.leading()
-        if delta > 0:
-            num = g**delta
-            h = num // h ** (delta - 1) if delta > 1 else num
-        if B.degree <= 0:
-            # one more step to fold the final constant in
-            delta = A.degree - B.degree
-            if A.degree % 2 and B.degree % 2:
-                s = -s
-            res = B.coeffs[0] ** A.degree
-            res //= h ** (A.degree - 1) if A.degree > 1 else 1
-            return s * t * res
+    res, da = 1, p.degree
+    for _, b, r in remainder_sequence(p.coeffs, q.coeffs):
+        db = len(b) - 1
+        if not db:
+            return int(res * b[0] ** da)
+        if not r:
+            return 0
+        res *= (-1) ** (da * db) * b[-1] ** (da - len(r) + 1)
+        da = db
 
 
 def root_power_transform(w: IntPolynomial, m: int) -> IntPolynomial:

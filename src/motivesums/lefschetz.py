@@ -25,7 +25,8 @@ import operator
 from fractions import Fraction
 from typing import Iterable, Union
 
-from .exactalg import BudgetError, cyclotomic, dense_divmod, dense_mul, factorize, monic_head, power_by_squaring
+from .exactalg import BudgetError, cyclotomic, dense_divmod, dense_mul, factorize, monic_head
+from .exactalg import power_by_squaring, remainder_sequence
 
 RationalLike = Union[int, Fraction]
 
@@ -52,21 +53,6 @@ def _check_reduction(n: int) -> None:
     raise BudgetError(f"index {n}: one reduction modulo Phi_{n} exceeds {REDUCTION_BUDGET} steps")
 
 
-def _poly_ext_gcd(a: tuple[Fraction, ...], b: tuple[Fraction, ...]):
-    """Return (g, s) with s*a = g mod b, g the monic gcd."""
-    r0, r1 = a, b
-    s0, s1 = [Fraction(1)], []
-    while r1:
-        q, rem = dense_divmod(r0, r1, operator.sub, operator.mul, operator.truediv)
-        r0, r1 = r1, rem
-        diff = itertools.zip_longest(s0, dense_mul(q, s1, operator.add, operator.mul), fillvalue=0)
-        s0, s1 = s1, [x - y for x, y in diff]
-    if not r0:
-        raise ZeroDivisionError("gcd of zero polynomials")
-    lead = r0[-1]
-    return [c / lead for c in r0], [c / lead for c in s0]
-
-
 @functools.cache
 def _trace_weights(n: int) -> tuple[Fraction, ...]:
     """Tr(zeta_n^j)/phi(n) for 0 <= j < phi(n), which is mu(d)/phi(d) for
@@ -86,7 +72,7 @@ class CyclotomicRational:
     cyclotomic polynomial, and den > 0 is one common denominator with
     gcd(den, *num) == 1.  The pair is unique, so at a common conductor
     equality is tuple equality.  Only inverse leaves the integers, for its
-    extended gcd over Q."""
+    Euclid over Q."""
 
     conductor: int
     num: tuple[int, ...]
@@ -183,12 +169,16 @@ class CyclotomicRational:
     def inverse(self) -> "CyclotomicRational":
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero")
-        modulus = cyclotomic(self.conductor).coeffs
-        g, s = _poly_ext_gcd([Fraction(c) for c in self.num], [Fraction(c) for c in modulus])
+        # Euclid on (num, Phi_n) carrying the cofactors of num: after each
+        # step s * num = the step's divisor modulo Phi_n
+        s, t = [1], []
+        for quo, g, _ in remainder_sequence(self.num, cyclotomic(self.conductor).coeffs):
+            qt = dense_mul(quo, t, operator.add, operator.mul)
+            s, t = t, [x - y for x, y in itertools.zip_longest(s, qt, fillvalue=0)]
         if len(g) != 1:
             raise ArithmeticError("element is a zero divisor; cyclotomic modulus not coprime")
-        # s * num = 1 modulo Phi_n, so (num/den)^-1 = den * s
-        s = [c * self.den for c in s]
+        # (num/den)^-1 = den * s / g
+        s = [Fraction(c * self.den) / g[0] for c in s]
         den = math.lcm(*(c.denominator for c in s))
         return CyclotomicRational(self.conductor, [int(c * den) for c in s], den)
 

@@ -48,20 +48,17 @@ def l_value(motive: ArtinTateMotive, curve: CurveDatum) -> Fraction:
     q = curve.q
     f1 = 1
     if curve.genus:
-        for p in motive.pieces:
-            scale = q ** (p.weight - 1)
-            f1 *= weil_root_product(curve, IntPolynomial(c * scale**i for i, c in enumerate(p.charpoly.coeffs)))
-    f2 = 1
-    for f, w in h0_quotient_factors(curve.s_degrees, motive):
-        f2 *= f.evaluate(q ** (w - 1))
+        f1 = math.prod(
+            weil_root_product(
+                curve, IntPolynomial(c * q ** (i * (p.weight - 1)) for i, c in enumerate(p.charpoly.coeffs))
+            )
+            for p in motive.pieces
+        )
+    f2 = math.prod(f.evaluate(q ** (w - 1)) for f, w in h0_quotient_factors(curve.s_degrees, motive))
     if curve.t_degrees:
-        f3 = 1
-        for f, w in h0_quotient_factors(curve.t_degrees, motive):
-            f3 *= f.evaluate(q**w)
+        f3 = math.prod(f.evaluate(q**w) for f, w in h0_quotient_factors(curve.t_degrees, motive))
         return Fraction(f1 * f2 * f3)
-    denom = 1
-    for p in motive.pieces:
-        denom *= p.charpoly.evaluate(q**p.weight)
+    denom = math.prod(p.charpoly.evaluate(q**p.weight) for p in motive.pieces)
     if denom == 0:
         raise ZeroDivisionError("weight >= 1 eigenvalues cannot hit 1 at t = q")
     return Fraction(f1 * f2, denom)
@@ -92,15 +89,14 @@ def z_polynomial(
         start=SymbolicPolynomial.constant(1),
     )
 
-    f23 = IntPolynomial((1,))
-    for f, w in h0_quotient_factors(curve.s_degrees, motive):
-        f23 = f23 * (f.substitute_power(w - 1) if w > 1 else f.evaluate(1))
+    f23 = [
+        f.substitute_power(w - 1) if w > 1 else f.evaluate(1) for f, w in h0_quotient_factors(curve.s_degrees, motive)
+    ]
     if curve.t_degrees:
-        for f, w in h0_quotient_factors(curve.t_degrees, motive):
-            f23 = f23 * f.substitute_power(w)
+        f23 += [f.substitute_power(w) for f, w in h0_quotient_factors(curve.t_degrees, motive)]
     elif any(p.charpoly.degree > 0 for p in motive.pieces):
         raise NotPolynomial("rational, not polynomial: empty twisting list")
-    return f1 * SymbolicPolynomial.from_int_poly(f23, "x")
+    return f1 * SymbolicPolynomial.from_int_poly(math.prod(f23, start=IntPolynomial((1,))), "x")
 
 
 def symmetric_pair_eval(

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from motivesums.cli import _curve_from
 from motivesums.curves import CurveDatum, charpoly_of_power, h0_det, h0_quotient_factors
 from motivesums.exactalg import IntPolynomial, SymbolicPolynomial, cyclotomic
 from motivesums.motives import ArtinTateMotive, GradedPiece, motive_of
@@ -18,7 +19,7 @@ def elliptic_q2():
 
 
 def test_from_json():
-    c = CurveDatum.from_json('{"q":2,"weil_numerator":[1,-1,2],"s_degrees":[1,1],"t_degrees":[]}')
+    c = _curve_from('{"q":2,"weil_numerator":[1,-1,2],"s_degrees":[1,1],"t_degrees":[]}')
     assert c.q == 2
     assert c.weil_numerator.coeffs == (1, -1, 2)
     assert c.genus == 1

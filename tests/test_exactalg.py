@@ -300,12 +300,30 @@ def test_poly_gcd_known():
     assert poly_gcd(a, IntPolynomial()).coeffs == (-1, 0, 1)
 
 
+@given(nonzero_poly, nonzero_poly, nonzero_poly)
+@settings(max_examples=150, deadline=None)
+def test_poly_gcd_divides_and_leaves_coprime_cofactors(a, b, c):
+    # a planted common factor c makes gcds of positive degree common
+    a, b = a * c, b * c
+    g = poly_gcd(a, b)
+    # / is integer long division and raises InexactDivision on a remainder
+    ra, rb = a / g, b / g
+    assert resultant(ra, rb) != 0
+    assert g.content() == math.gcd(a.content(), b.content())
+    assert g.leading() > 0
+
+
 def test_resultant_known_values():
     # Res(x^2 - 1, x - 2) = value of x^2 - 1 at 2
     assert resultant(IntPolynomial((-1, 0, 1)), IntPolynomial((-2, 1))) == 3
     # common root => 0
     assert resultant(IntPolynomial((-1, 0, 1)), IntPolynomial((-1, 1))) == 0
     assert resultant(IntPolynomial((5,)), IntPolynomial((1, 1, 1))) == 25
+    # degree 0: Res(c, q) = c^deg q and Res(p, c) = c^deg p
+    assert resultant(IntPolynomial((-2,)), IntPolynomial((-1, 0, 0, 1))) == -8
+    assert resultant(IntPolynomial((1, 1, 1)), IntPolynomial((3,))) == 9
+    assert resultant(IntPolynomial((-3, 1)), IntPolynomial((-2,))) == -2
+    assert resultant(IntPolynomial((5,)), IntPolynomial((7,))) == 1
 
 
 @given(nonzero_poly, nonzero_poly)

@@ -121,3 +121,25 @@ def test_every_public_name_has_a_caller_in_src():
         "irreducible_monics",
     ]
     assert _definitions_without_callers() == benchmark_wrapped
+
+
+def test_benchmark_tracer_resolves_every_wrapped_name():
+    # perfbench/layers.py wraps package names given as strings; a name that no
+    # longer resolves turns its group's per-layer metrics into null.  The
+    # subprocess imports the package from src/ afresh and writes no bytecode.
+    code = "\n".join([
+        "import importlib, sys",
+        f"sys.path[:0] = [{str(ROOT / 'src')!r}, {str(ROOT / 'perfbench')!r}]",
+        "import layers",
+        "package = importlib.import_module('motivesums')",
+        "for name in layers.MODULES:",
+        "    importlib.import_module('motivesums.' + name)",
+        "tracer = layers.Tracer()",
+        "tracer.install(package)",
+        "print(package.__file__)",
+        "print(tracer.missing())",
+        "print(sorted(name for name, value in tracer.metrics().items() if value is None))",
+    ])
+    run = subprocess.run([sys.executable, "-B", "-c", code], capture_output=True, text=True, cwd=ROOT)
+    assert (run.returncode, run.stderr) == (0, "")
+    assert run.stdout.splitlines() == [str(ROOT / "src" / "motivesums" / "__init__.py"), "[]", "[]"]
