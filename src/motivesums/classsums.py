@@ -16,10 +16,10 @@ from fractions import Fraction
 from typing import Callable, Sequence
 
 from .classtypes import (
+    SLType,
     count_sl,
     count_sp,
     divisors,
-    enumerate_sl_types,
     enumerate_sp_types,
     moebius,
     sl_centralizer_motive,
@@ -30,7 +30,6 @@ from .curves import CurveDatum
 from .exactalg import (
     InexactDivision,
     IntPolynomial,
-    InvariantError,
     SymbolicPolynomial,
     check_degree,
     dense_mul,
@@ -39,7 +38,7 @@ from .exactalg import (
     to_int_poly,
 )
 from .lseries import evaluate_with_weil_roots, j_variable_names, l_value
-from .motives import ArtinTateMotive, parse_group_spec
+from .motives import parse_group_spec
 
 
 class CertificateError(ArithmeticError):
@@ -133,16 +132,14 @@ def derivative_witness(j_names: Sequence[str], k: int) -> DerivativeWitness:
 # ---------------------------------------------------------------------------
 
 
-def _vanishes_at_one(motive: ArtinTateMotive) -> bool:
-    """Whether the Frobenius determinant vanishes identically at t = 1.  The
-    factor c(q^(w-1)) of a piece of weight w >= 2 never does, as c(0) = 1."""
-    return motive.piece_of_weight(1).evaluate(1) == 0
-
-
 def class_sum(spec, curve: CurveDatum) -> Fraction:
     """Sum over semisimple conjugacy types of class count times central
-    L-value of the centralizer's Frobenius data.  Types whose determinant
-    ratio vanishes identically at t = 1 contribute zero and are skipped."""
+    L-value of the centralizer's Frobenius data.  Only single-block SL
+    types and Sp types without general-linear blocks are summed: any other
+    type has a weight-1 piece c with the root 1 (the product of 1 - u^d
+    over two or more blocks, over 1 - u; the 1 - u^e of a general-linear
+    block), and a second splitting place, of degree e, contributes the
+    factor c_e(1) = 0 to its L-value."""
     spec = parse_group_spec(spec)
     if curve.t_degrees:
         raise ValueError("twisting places must be empty for class sums")
@@ -152,21 +149,16 @@ def class_sum(spec, curve: CurveDatum) -> Fraction:
     q = curve.q
     total = Fraction(0)
     if kind == "SL":
-        for t in enumerate_sl_types(size):
-            motive = sl_centralizer_motive(t)
-            if _vanishes_at_one(motive):
-                continue
-            if len(t.pairs) != 1:
-                raise InvariantError("a multi-block type survived the t = 1 vanishing filter")
-            total += count_sl(size, t.pairs[0][0], q) * l_value(motive, curve)
+        if size < 1:
+            raise ValueError("n must be positive")
+        for d in divisors(size):
+            total += count_sl(size, d, q) * l_value(sl_centralizer_motive(SLType([(d, size // d)])), curve)
     elif kind == "Sp":
         if size % 2:
             raise ValueError("Sp size must be even")
         for t in enumerate_sp_types(size // 2, q_even=q % 2 == 0):
-            motive = sp_centralizer_motive(t)
-            if _vanishes_at_one(motive):
-                continue
-            total += count_sp(t, q) * l_value(motive, curve)
+            if not t.gl_pairs:
+                total += count_sp(t, q) * l_value(sp_centralizer_motive(t), curve)
     else:
         raise ValueError(f"class sums are implemented for SL and Sp, not {kind}")
     return total
@@ -473,9 +465,8 @@ def sp_certificate(n: int, parity: str, r: int) -> SymbolicCertificate:
         g_num, g_den = golden[row.label]
         match = (r_num * g_den - g_num * r_den).is_zero()
         _require(checks, f"count-ratio-transcription-{row.label}", match, str(r_num))
-        g = poly_gcd(g_num, g_den)
         try:
-            multiplier = (cleared_den * (g_num / g)) / (g_den / g)
+            multiplier = (cleared_den * g_num) / g_den
         except InexactDivision as exc:
             _require(checks, f"denominator-clearance-{row.label}", False, str(exc))
         h = math.prod(
@@ -536,25 +527,17 @@ def sp_certificate(n: int, parity: str, r: int) -> SymbolicCertificate:
 
 def _freshman_congruences(n: int, names: Sequence[str], checks: list[Check]):
     alphas = [SymbolicPolynomial.variable(name) for name in names]
-    if n == 2:
-        diff = math.prod(((1 + a) ** 2 for a in alphas), start=_ONE) - math.prod(
-            (1 + a**2 for a in alphas), start=_ONE
-        )
-        ok2 = all(c % 2 == 0 for c in diff.terms.values())
-    else:
-        diff = math.prod(((1 + a) ** 3 for a in alphas), start=_ONE) - math.prod(
-            ((1 + a) * (1 + a**2) for a in alphas), start=_ONE
-        )
-        ok2 = all(c % 2 == 0 for c in diff.terms.values())
-        diff3 = math.prod(((1 + a) ** 3 for a in alphas), start=_ONE) - math.prod(
-            (1 + a**3 for a in alphas), start=_ONE
-        )
+    power = math.prod(((1 + a) ** n for a in alphas), start=_ONE)
+    diff2 = power - math.prod(((1 + a) ** (n - 2) * (1 + a**2) for a in alphas), start=_ONE)
+    if n == 3:
+        diff3 = power - math.prod((1 + a**3 for a in alphas), start=_ONE)
         _require(
             checks,
             "power-congruence-mod-3",
             all(c % 3 == 0 for c in diff3.terms.values()),
             "cube of product congruence",
         )
+    ok2 = all(c % 2 == 0 for c in diff2.terms.values())
     _require(checks, "power-congruence-mod-2", ok2, "square of product congruence")
 
 

@@ -77,10 +77,7 @@ def sl_centralizer_motive(t: SLType) -> ArtinTateMotive:
     """Frobenius data of the centralizer: the direct sum of degree-d scalar
     restrictions of GL(a) blocks with one trivial weight-1 eigenvalue
     removed."""
-    acc = motive_of({"Res": [t.pairs[0][0], {"GL": t.pairs[0][1]}]})
-    for d, a in t.pairs[1:]:
-        acc = acc.direct_sum(motive_of({"Res": [d, {"GL": a}]}))
-    return acc.quotient_trivial()
+    return motive_of({"Product": [{"Res": [d, {"GL": a}]} for d, a in t.pairs]}).quotient_trivial()
 
 
 def count_sl(n: int, d: int, q: int) -> int:
@@ -162,12 +159,7 @@ def sp_centralizer_motive(t: SpType) -> ArtinTateMotive:
         specs.append({"Res": [d, {"U": b}]})
     for e, c in t.gl_pairs:
         specs.append({"Res": [e, {"GL": c}]})
-    if not specs:
-        return ArtinTateMotive(())
-    acc = motive_of(specs[0])
-    for s in specs[1:]:
-        acc = acc.direct_sum(motive_of(s))
-    return acc
+    return motive_of({"Product": specs}) if specs else ArtinTateMotive(())
 
 
 # ---------------------------------------------------------------------------
@@ -177,15 +169,14 @@ def sp_centralizer_motive(t: SpType) -> ArtinTateMotive:
 
 def s_count(two_n: int, q: int) -> int:
     """Number of self-reciprocal irreducible monic polynomials of the given
-    even degree over the field with q elements."""
+    even degree 2n over the field with q elements: the sum over odd d | n
+    of mu(d) (q^(n/d) - (q mod 2)), divided by 2n (Carlitz 1967).  For odd
+    q and n a power of 2 only d = 1 is odd, giving (q^n - 1) / 2n."""
     if two_n < 2 or two_n % 2:
         raise ValueError("degree must be even and at least 2")
     n = two_n // 2
-    if q % 2 == 1 and n & (n - 1) == 0:
-        num, rem = divmod(q**n - 1, 2 * n)
-    else:
-        total = sum(moebius(d) * q ** (n // d) for d in divisors(n) if d % 2)
-        num, rem = divmod(total, 2 * n)
+    total = sum(moebius(d) * (q ** (n // d) - q % 2) for d in divisors(n) if d % 2)
+    num, rem = divmod(total, 2 * n)
     if rem:
         raise ArithmeticError("self-reciprocal count must be an integer")
     return num
@@ -265,99 +256,96 @@ def table_goldens() -> dict[tuple[int, str], tuple[TableRow, ...]]:
     p3 = 1 + t**3
     pq2 = 1 + t * q**2
 
-    def row(label, tp, count, det):
-        return TableRow(label, tp, count, det)
-
     sp4_odd = (
-        row("t1", SpType(2), lambda v: Fraction(2), m1 * m3),
-        row("t2", SpType(1, 1), lambda v: Fraction(1), m1 * m1),
-        row("t3", SpType(1, 0, [(1, 1)]), lambda v: Fraction(v - 1), m1 * one_plus_t),
-        row("t4", SpType(0, 0, [(1, 2)]), lambda v: Fraction(v - 1, 2), one_plus_t * m1),
-        row(
+        TableRow("t1", SpType(2), lambda v: Fraction(2), m1 * m3),
+        TableRow("t2", SpType(1, 1), lambda v: Fraction(1), m1 * m1),
+        TableRow("t3", SpType(1, 0, [(1, 1)]), lambda v: Fraction(v - 1), m1 * one_plus_t),
+        TableRow("t4", SpType(0, 0, [(1, 2)]), lambda v: Fraction(v - 1, 2), one_plus_t * m1),
+        TableRow(
             "t5",
             SpType(0, 0, [(1, 1), (1, 1)]),
             lambda v: Fraction((v - 1) * (v - 3), 8),
             one_plus_t * one_plus_t,
         ),
-        row("t6", SpType(0, 0, [(2, 1)]), lambda v: Fraction(v**2 - 1, 4), p2),
+        TableRow("t6", SpType(0, 0, [(2, 1)]), lambda v: Fraction(v**2 - 1, 4), p2),
     )
     sp4_even = (
-        row("t1", SpType(2), lambda v: Fraction(1), m1 * m3),
-        row("t3", SpType(1, 0, [(1, 1)]), lambda v: Fraction(v, 2), m1 * one_plus_t),
-        row("t4", SpType(0, 0, [(1, 2)]), lambda v: Fraction(v, 2), one_plus_t * m1),
-        row(
+        TableRow("t1", SpType(2), lambda v: Fraction(1), m1 * m3),
+        TableRow("t3", SpType(1, 0, [(1, 1)]), lambda v: Fraction(v, 2), m1 * one_plus_t),
+        TableRow("t4", SpType(0, 0, [(1, 2)]), lambda v: Fraction(v, 2), one_plus_t * m1),
+        TableRow(
             "t5",
             SpType(0, 0, [(1, 1), (1, 1)]),
             lambda v: Fraction(v * (v - 2), 8),
             one_plus_t * one_plus_t,
         ),
-        row("t6", SpType(0, 0, [(2, 1)]), lambda v: Fraction(v**2, 4), p2),
+        TableRow("t6", SpType(0, 0, [(2, 1)]), lambda v: Fraction(v**2, 4), p2),
     )
     sp6_odd = (
-        row("t1", SpType(3), lambda v: Fraction(2), m1 * m3 * m5),
-        row("t2", SpType(2, 1), lambda v: Fraction(2), m1 * m1 * m3),
-        row("t3", SpType(2, 0, [(1, 1)]), lambda v: Fraction(v - 1), one_plus_t * m1 * m3),
-        row("t4", SpType(1, 1, [(1, 1)]), lambda v: Fraction(v - 1, 2), one_plus_t * m1 * m1),
-        row("t5", SpType(1, 0, [(1, 2)]), lambda v: Fraction(v - 1), one_plus_t * m1 * m1),
-        row(
+        TableRow("t1", SpType(3), lambda v: Fraction(2), m1 * m3 * m5),
+        TableRow("t2", SpType(2, 1), lambda v: Fraction(2), m1 * m1 * m3),
+        TableRow("t3", SpType(2, 0, [(1, 1)]), lambda v: Fraction(v - 1), one_plus_t * m1 * m3),
+        TableRow("t4", SpType(1, 1, [(1, 1)]), lambda v: Fraction(v - 1, 2), one_plus_t * m1 * m1),
+        TableRow("t5", SpType(1, 0, [(1, 2)]), lambda v: Fraction(v - 1), one_plus_t * m1 * m1),
+        TableRow(
             "t6",
             SpType(1, 0, [(1, 1), (1, 1)]),
             lambda v: Fraction((v - 1) * (v - 3), 4),
             one_plus_t * one_plus_t * m1,
         ),
-        row("t7", SpType(1, 0, [(2, 1)]), lambda v: Fraction(v**2 - 1, 2), p2 * m1),
-        row("t8", SpType(0, 0, [(1, 3)]), lambda v: Fraction(v - 1, 2), one_plus_t * m1 * pq2),
-        row(
+        TableRow("t7", SpType(1, 0, [(2, 1)]), lambda v: Fraction(v**2 - 1, 2), p2 * m1),
+        TableRow("t8", SpType(0, 0, [(1, 3)]), lambda v: Fraction(v - 1, 2), one_plus_t * m1 * pq2),
+        TableRow(
             "t9",
             SpType(0, 0, [(1, 2), (1, 1)]),
             lambda v: Fraction((v - 1) * (v - 3), 4),
             one_plus_t * one_plus_t * m1,
         ),
-        row(
+        TableRow(
             "t10",
             SpType(0, 0, [(1, 1), (1, 1), (1, 1)]),
             lambda v: Fraction((v - 1) * (v - 3) * (v - 5), 48),
             one_plus_t * one_plus_t * one_plus_t,
         ),
-        row(
+        TableRow(
             "t11",
             SpType(0, 0, [(2, 1), (1, 1)]),
             lambda v: Fraction((v - 1) * (v**2 - 1), 8),
             one_plus_t * p2,
         ),
-        row("t12", SpType(0, 0, [(3, 1)]), lambda v: Fraction(v**3 - v, 6), p3),
+        TableRow("t12", SpType(0, 0, [(3, 1)]), lambda v: Fraction(v**3 - v, 6), p3),
     )
     sp6_even = (
-        row("t1", SpType(3), lambda v: Fraction(1), m1 * m3 * m5),
-        row("t3", SpType(2, 0, [(1, 1)]), lambda v: Fraction(v, 2), one_plus_t * m1 * m3),
-        row("t5", SpType(1, 0, [(1, 2)]), lambda v: Fraction(v, 2), one_plus_t * m1 * m1),
-        row(
+        TableRow("t1", SpType(3), lambda v: Fraction(1), m1 * m3 * m5),
+        TableRow("t3", SpType(2, 0, [(1, 1)]), lambda v: Fraction(v, 2), one_plus_t * m1 * m3),
+        TableRow("t5", SpType(1, 0, [(1, 2)]), lambda v: Fraction(v, 2), one_plus_t * m1 * m1),
+        TableRow(
             "t6",
             SpType(1, 0, [(1, 1), (1, 1)]),
             lambda v: Fraction(v * (v - 2), 8),
             one_plus_t * one_plus_t * m1,
         ),
-        row("t7", SpType(1, 0, [(2, 1)]), lambda v: Fraction(v**2, 4), p2 * m1),
-        row("t8", SpType(0, 0, [(1, 3)]), lambda v: Fraction(v, 2), one_plus_t * m1 * pq2),
-        row(
+        TableRow("t7", SpType(1, 0, [(2, 1)]), lambda v: Fraction(v**2, 4), p2 * m1),
+        TableRow("t8", SpType(0, 0, [(1, 3)]), lambda v: Fraction(v, 2), one_plus_t * m1 * pq2),
+        TableRow(
             "t9",
             SpType(0, 0, [(1, 2), (1, 1)]),
             lambda v: Fraction(v * (v - 2), 4),
             one_plus_t * one_plus_t * m1,
         ),
-        row(
+        TableRow(
             "t10",
             SpType(0, 0, [(1, 1), (1, 1), (1, 1)]),
             lambda v: Fraction(v * (v - 2) * (v - 4), 48),
             one_plus_t * one_plus_t * one_plus_t,
         ),
-        row(
+        TableRow(
             "t11",
             SpType(0, 0, [(2, 1), (1, 1)]),
             lambda v: Fraction(v**3, 8),
             one_plus_t * p2,
         ),
-        row("t12", SpType(0, 0, [(3, 1)]), lambda v: Fraction(v**3 - v, 6), p3),
+        TableRow("t12", SpType(0, 0, [(3, 1)]), lambda v: Fraction(v**3 - v, 6), p3),
     )
     return {
         (2, "odd"): sp4_odd,

@@ -60,12 +60,6 @@ class ArtinTateMotive:
             GradedPiece(p.weight, p.charpoly.substitute_power(d)) for p in self.pieces
         )
 
-    def piece_of_weight(self, weight: int) -> IntPolynomial:
-        for p in self.pieces:
-            if p.weight == weight:
-                return p.charpoly
-        return IntPolynomial((1,))
-
     def quotient_trivial(self) -> "ArtinTateMotive":
         """Remove one trivial Frobenius eigenvalue in weight 1, dividing the
         weight-1 characteristic polynomial by 1 - u exactly."""
@@ -115,8 +109,8 @@ def motive_of(spec: dict) -> ArtinTateMotive:
 
     >>> [p.weight for p in motive_of({"Sp": 4}).pieces]
     [2, 4]
-    >>> motive_of({"GL": 2}).piece_of_weight(1).coeffs
-    (1, -1)
+    >>> [(p.weight, p.charpoly.coeffs) for p in motive_of({"Res": [2, {"U": 1}]}).pieces]
+    [(1, (1, 0, 1))]
     """
     spec = parse_group_spec(spec)
     (kind, arg), = spec.items()

@@ -242,49 +242,44 @@ def sl_census(n: int, field: FiniteField) -> dict[SLType, int]:
     return tally
 
 
-def sp_census(n: int, field: FiniteField) -> dict[SpType, int]:
-    """Tally of symplectic class types: monic palindromic degree-2n
-    polynomials whose multiplicity at x - 1 and x + 1 is even."""
+def _palindromes(field: FiniteField, n: int):
+    """Monic palindromic polynomials of degree 2n: c_1..c_n free, mirrored
+    to c_(2n-1)..c_n.  The budget is checked on the call, before any is built."""
     if field.q**n > 10**6:
         raise BudgetError("enumeration over budget; use the counting formulas")
+    return (
+        (1,) + digits + tuple(reversed(digits[:-1])) + (1,)
+        for digits in itertools.product(range(field.q), repeat=n)
+    )
+
+
+def sp_census(n: int, field: FiniteField) -> dict[SpType, int]:
+    """Tally of symplectic class types: monic palindromic degree-2n
+    polynomials, keyed by factorization shape.  Their multiplicities at
+    x - 1 and x + 1 are even, their self-reciprocal factors have even
+    degree and reciprocal pairs have equal multiplicity; a factorization
+    that breaks this misses half-dimension n and raises InvariantError."""
+    palindromes = _palindromes(field, n)
     q_even = field.p == 2
     tally = {t: 0 for t in enumerate_sp_types(n, q_even=q_even)}
-    one = 1
-    minus_one = field.embed(-1)
-    plus_root = (minus_one, one)  # x - 1
-    minus_root = (one, one)  # x + 1
-    for digits in itertools.product(range(field.q), repeat=n):
-        # palindromic: coefficients c_1..c_n free, mirrored to c_{2n-1}..c_n
-        coeffs = (1,) + digits + tuple(reversed(digits[:-1])) + (1,)
-        factors = factor_monic(field, coeffs)
+    plus_root = (field.embed(-1), 1)  # x - 1
+    minus_root = (1, 1)  # x + 1
+    for poly in palindromes:
+        factors = factor_monic(field, poly)
         a_plus = factors.pop(plus_root, 0)
         a_minus = 0 if q_even else factors.pop(minus_root, 0)
-        if a_plus % 2 or a_minus % 2:
-            continue
         unitary = []
         gl = []
-        seen = set()
-        ok = True
         for p, mult in factors.items():
-            if p in seen:
-                continue
             recip = field.reciprocal(p)
             if recip == p:
-                d = (len(p) - 1) // 2
-                if (len(p) - 1) % 2:
-                    ok = False
-                    break
-                unitary.append((d, mult))
-            else:
-                if factors.get(recip) != mult:
-                    ok = False
-                    break
-                seen.add(recip)
+                unitary.append(((len(p) - 1) // 2, mult))
+            elif p < recip:  # one member of each reciprocal pair
                 gl.append((len(p) - 1, mult))
-            seen.add(p)
-        if not ok:
-            continue
         shape = SpType(a_plus // 2, a_minus // 2, unitary, gl)
+        half = shape.a_plus + shape.a_minus + sum(d * b for d, b in unitary + gl)
+        if half != n:
+            raise InvariantError(f"{poly} factors into half-dimension {half}, not {n}: {factors}")
         tally[shape] += 1
     return tally
 
@@ -295,13 +290,6 @@ def self_reciprocal_irreducible_census(field: FiniteField, two_n: int) -> int:
     if two_n < 2 or two_n % 2:
         raise ValueError("degree must be even and at least 2")
     n = two_n // 2
-    if field.q**n > 10**6:
-        raise BudgetError("enumeration over budget; use the counting formulas")
+    palindromes = _palindromes(field, n)
     _irreducibles_up_to(field, n)
-    count = 0
-    for digits in itertools.product(range(field.q), repeat=n):
-        coeffs = (1,) + digits + tuple(reversed(digits[:-1])) + (1,)
-        if _is_irreducible_cached(field, coeffs):
-            count += 1
-    return count
-
+    return sum(1 for poly in palindromes if _is_irreducible_cached(field, poly))

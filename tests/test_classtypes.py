@@ -178,6 +178,19 @@ def test_s_count_values():
     assert s_count(6, 3) == (27 - 3) // 6
 
 
+def test_s_count_matches_the_two_branch_formula():
+    # odd q and n a power of 2: (q^n - 1) / 2n; otherwise the sum over odd
+    # d | n of mu(d) q^(n/d), divided by 2n
+    for q in (2, 3, 4, 5, 7, 8, 9, 16, 25, 27, 81):
+        for n in range(1, 17):
+            if q % 2 and n & (n - 1) == 0:
+                total = q**n - 1
+            else:
+                total = sum(moebius(d) * q ** (n // d) for d in range(1, n + 1, 2) if n % d == 0)
+            assert total % (2 * n) == 0
+            assert s_count(2 * n, q) == total // (2 * n), (q, n)
+
+
 def test_irreducible_count():
     assert irreducible_count(1, 2) == 2
     assert irreducible_count(2, 2) == 1

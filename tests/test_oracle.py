@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from motivesums import oracle
 from motivesums.classtypes import (
     SLType,
     count_sl,
@@ -200,6 +201,32 @@ def test_sp_census_rank_one_matches_sl():
     # the rank-1 symplectic and special linear censuses count the same classes
     for field in (F2, F3, F5):
         assert sum(sp_census(1, field).values()) == sum(sl_census(2, field).values())
+
+
+@pytest.mark.parametrize(
+    "n, field",
+    # at most 300 palindromes each, to keep the suite quick
+    [(n, f) for n in (1, 2, 3) for f in (F2, F3, F4, F5, F8, F9, FiniteField(2, 4), F25) if f.q**n <= 300],
+    ids=lambda v: f"q{v.q}" if isinstance(v, FiniteField) else f"n{v}",
+)
+def test_sp_census_counts_every_palindrome(n, field):
+    assert sum(sp_census(n, field).values()) == field.q**n
+
+
+@pytest.mark.parametrize(
+    "factors",
+    [
+        {(4, 1): 1, (1, 1): 1},  # (x - 1)(x + 1): odd multiplicity at x - 1
+        {(2, 1): 2},  # (x + 2)^2 without its reciprocal x + 3
+    ],
+    ids=["odd-at-one", "unpaired"],
+)
+def test_sp_census_refuses_a_factorization_of_no_type(monkeypatch, factors):
+    # over F5 no palindromic x^2 + c x + 1 factors like this; a factor list
+    # that does is reported, not dropped from the tally
+    monkeypatch.setattr(oracle, "factor_monic", lambda field, poly: dict(factors))
+    with pytest.raises(InvariantError):
+        sp_census(1, F5)
 
 
 @pytest.mark.parametrize("field", [F2, F3, F4, F5], ids=lambda f: f"q{f.q}")

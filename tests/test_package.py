@@ -1,5 +1,7 @@
 """Checks over the package source as a whole."""
 import ast
+import doctest
+import importlib
 import os
 import pathlib
 import subprocess
@@ -48,6 +50,15 @@ def test_sources_parse_as_python_3_10():
     assert SOURCES
     for path in SOURCES:
         ast.parse(path.read_text(encoding="utf-8"), filename=str(path), feature_version=(3, 10))
+
+
+def test_docstring_examples_hold():
+    # doctest.testmod over every module; a failing example fails the test
+    assert SOURCES
+    modules = {path.name: "motivesums" + ("" if path.stem == "__init__" else "." + path.stem) for path in SOURCES}
+    results = {name: doctest.testmod(importlib.import_module(module)) for name, module in modules.items()}
+    assert {name: r.failed for name, r in results.items()} == {path.name: 0 for path in SOURCES}
+    assert sum(r.attempted for r in results.values()) > 0
 
 
 def _python_3_10() -> bool:
