@@ -10,6 +10,7 @@ with a witness; any failure raises CertificateError naming the condition.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 import operator
 from fractions import Fraction
@@ -28,6 +29,7 @@ from .classtypes import (
 )
 from .curves import CurveDatum
 from .exactalg import (
+    BudgetError,
     InexactDivision,
     IntPolynomial,
     SymbolicPolynomial,
@@ -199,6 +201,22 @@ def m_numerator(n: int, d: int) -> IntPolynomial:
     return acc
 
 
+# the bound on a certificate's largest product that a build may have: the
+# largest bound among the verification battery's builds is 462,400, for
+# sl_script_p(8, 2, 5, 5), whose largest product has 62,000 terms
+TERM_BUDGET = 500_000
+
+
+def _check_terms(exponents: int, r: int, x_degree: int) -> None:
+    """Raise BudgetError, before any work, when a product over r
+    a-variables, each with at most `exponents` distinct exponents, of
+    degree x_degree in x could have more than TERM_BUDGET terms:
+    exponents^r * (x_degree + 1) bounds its term count."""
+    # 2^r <= exponents^r, so the power is formed only for a small r
+    if r > TERM_BUDGET or (exponents > 1 and 2**r > TERM_BUDGET) or exponents**r * (x_degree + 1) > TERM_BUDGET:
+        raise BudgetError(f"the certificate's products may reach more than {TERM_BUDGET} terms; lower the arity r")
+
+
 def _require(checks: list[Check], label: str, passed: bool, witness: str):
     checks.append(Check(label, passed, witness))
     if not passed:
@@ -219,6 +237,9 @@ def sl_prime_certificate(l: int, r: int) -> SymbolicCertificate:
         raise ValueError("degree must be prime")
     if r < 0:
         raise ValueError("arity must be nonnegative")
+    # per a-variable, the split product has exponents 0..l-1 and degree
+    # l(l-1)/2 in x
+    _check_terms(l, r, r * l * (l - 1) // 2)
     names = j_variable_names(r)
     h_split = h_polynomial(l, 1, names)
     h_inert = h_polynomial(l, l, names)
@@ -254,6 +275,9 @@ def sl_script_p(n: int, r: int, n_prime: int = 1, d_prime: int = 1) -> SymbolicC
     if math.gcd(d_prime, n) != 1:
         raise ValueError("d_prime must be coprime to n")
     check_degree(n_prime * n)  # the block products' degree in x, checked before any work
+    # each a-exponent is below n_prime*n, and d = 1 gives the largest degree in x
+    big_n = n_prime * n
+    _check_terms(big_n, r, r * big_n * (big_n // d_prime - 1) // 2 + n)
     names = j_variable_names(r)
     num = SymbolicPolynomial.constant(0)
     for d in divisors(n):
@@ -391,11 +415,16 @@ _WITNESS_ROWS = {
 _WITNESS_SPECIAL = {(3, "even"): {"t7": Fraction(1, 2), "t11": Fraction(-1, 2)}}
 
 
-def _count_polynomial(fn: Callable[[int], Fraction], degree_bound: int = 4):
+# the degree of every tabulated class count is at most this
+_COUNT_DEGREE = 4
+
+
+@functools.cache
+def _count_polynomial(fn: Callable[[int], Fraction]):
     """Interpolate a polynomial count function exactly; returns an integer
     numerator polynomial and a positive integer denominator."""
-    points = list(range(degree_bound + 1))
-    coeffs = [Fraction(0)] * (degree_bound + 1)
+    points = list(range(_COUNT_DEGREE + 1))
+    coeffs = [Fraction(0)] * (_COUNT_DEGREE + 1)
     for i, xi in enumerate(points):
         basis = [Fraction(1)]
         denom = Fraction(1)
@@ -409,12 +438,13 @@ def _count_polynomial(fn: Callable[[int], Fraction], degree_bound: int = 4):
             coeffs[d_idx] += w * b
     lcm = math.lcm(*(c.denominator for c in coeffs))
     num = IntPolynomial(int(c * lcm) for c in coeffs)
-    for extra in (degree_bound + 3, degree_bound + 7):
+    for extra in (_COUNT_DEGREE + 3, _COUNT_DEGREE + 7):
         if Fraction(num.evaluate(extra), lcm) != Fraction(fn(extra)):
             raise ArithmeticError("count is not polynomial of the expected degree")
     return num, lcm
 
 
+@functools.cache
 def _rational_derivatives_at(num: IntPolynomial, den: IntPolynomial, point: int, order: int):
     """Values of num/den and its first `order` derivatives at the point,
     exactly; the reduced denominator must not vanish there."""
@@ -430,7 +460,7 @@ def _rational_derivatives_at(num: IntPolynomial, den: IntPolynomial, point: int,
         if order >= 2:
             n2 = n1.derivative() * d - 2 * n1 * d.derivative()
             values.append(Fraction(n2.evaluate(point), dv**3))
-    return values
+    return tuple(values)
 
 
 def sp_certificate(n: int, parity: str, r: int) -> SymbolicCertificate:
@@ -453,6 +483,9 @@ def sp_certificate(n: int, parity: str, r: int) -> SymbolicCertificate:
     scalar = 2 if n == 2 else 6
     parts = [_OP] * n + [_Q4] + ([_Q6] if n == 3 else [])
     cleared_den = scalar * math.prod(parts)
+    # a determinant has degree at most n in t and n^2 in q; a multiplier's
+    # degree is at most the cleared denominator's
+    _check_terms(n + 1, r, r * n * n + cleared_den.degree)
 
     total = SymbolicPolynomial.constant(0)
     h_by_label: dict[str, SymbolicPolynomial] = {}
@@ -479,14 +512,14 @@ def sp_certificate(n: int, parity: str, r: int) -> SymbolicCertificate:
     _require(
         checks,
         "even-coefficient-congruence",
-        all(c % 2 == 0 for c in total.terms.values()),
+        total.content() % 2 == 0,
         "all cleared coefficients divisible by 2",
     )
     if n == 3:
         _require(
             checks,
             "triple-coefficient-congruence",
-            all(c % 3 == 0 for c in total.terms.values()),
+            total.content() % 3 == 0,
             "all cleared coefficients divisible by 3",
         )
 
@@ -534,11 +567,10 @@ def _freshman_congruences(n: int, names: Sequence[str], checks: list[Check]):
         _require(
             checks,
             "power-congruence-mod-3",
-            all(c % 3 == 0 for c in diff3.terms.values()),
+            diff3.content() % 3 == 0,
             "cube of product congruence",
         )
-    ok2 = all(c % 2 == 0 for c in diff2.terms.values())
-    _require(checks, "power-congruence-mod-2", ok2, "square of product congruence")
+    _require(checks, "power-congruence-mod-2", diff2.content() % 2 == 0, "square of product congruence")
 
 
 def _witness_conditions(n, parity, golden, h_by_label, names, checks: list[Check]):

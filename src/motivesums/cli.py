@@ -7,8 +7,9 @@ file.  All output is exact: rationals print as
 exponent order with explicit "*" and "^".
 
 Exit codes: 0 success, 1 certificate or verification failure, 2 malformed
-input, 3 work budget exceeded (an enumeration, or a cyclotomic reduction of
-too large an index).
+input, 3 work budget exceeded (an enumeration, a cyclotomic reduction of
+too large an index, or a certificate whose products could pass its term
+budget).
 """
 from __future__ import annotations
 

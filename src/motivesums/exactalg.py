@@ -45,8 +45,9 @@ class InvariantError(ArithmeticError):
 
 class BudgetError(RuntimeError):
     """Raised before a computation that would exceed its work budget: an
-    enumeration (use the closed counting formulas instead) or a reduction
-    modulo a cyclotomic polynomial of too large an index."""
+    enumeration (use the closed counting formulas instead), a reduction
+    modulo a cyclotomic polynomial of too large an index, or a certificate
+    whose products could grow past its term budget."""
 
 
 # ---------------------------------------------------------------------------
@@ -464,6 +465,27 @@ def _or_all(keys: Iterable[int]) -> int:
     return functools.reduce(operator.or_, keys, 0)
 
 
+def _selection_product(m: int, mapped) -> tuple[tuple[int, int], ...]:
+    """The terms of the product of the images' powers that the packed mapped
+    exponents m select, for SymbolicPolynomial.substitute."""
+    coeff, mono, acc = 1, 0, None
+    for s, image, single in mapped:
+        if k := m >> s & _FIELD:
+            if single is None:
+                acc = image**k if acc is None else acc * image**k
+            else:
+                ic, im, top = single
+                check_degree(k * top)
+                coeff *= ic**k
+                mono += k * im
+                _check_exponents(mono)
+    if not coeff:
+        return ()
+    if acc is None:
+        return ((mono, coeff),)
+    return tuple((acc * SymbolicPolynomial._exact((), {mono: coeff}))._packed.items())
+
+
 class SymbolicPolynomial:
     """Sparse polynomial over Z in named variables.
 
@@ -632,39 +654,49 @@ class SymbolicPolynomial:
 
         Each term's mapped exponents select a product of powers of the images,
         computed once per distinct selection; the term's unmapped part stays
-        packed and shifts that product into one accumulator.  The result lists
-        its variables by first appearance over the terms, each term giving the
+        packed and shifts that product into one accumulator.  An image of at
+        most one term, c*m with m a packed monomial (an integer has m = 0),
+        enters its k-th power by exponent arithmetic as c^k and k*m: each field
+        of k*m is checked against the guard before it is added, and the running
+        monomial's guard bits after, so no sum carries into the next field.
+        Images of two or more terms are multiplied out.  The result lists its
+        variables by first appearance over the terms, each term giving the
         variables of its factors in the order of this polynomial's variables.
         """
         images = {v: self._coerce(mapping[v]) for v in self.vars if mapping.get(v) is not None}
-        mapped = [(_SHIFTS[v], image) for v, image in images.items()]
-        mask = sum(_FIELD << s for s, _ in mapped)
-        # the variables that each variable's factor brings into a term
-        brings = [(_SHIFTS[v], images[v].vars if v in images else (v,)) for v in self.vars]
-        candidates = {w for _, names in brings for w in names}
-        order: list[str] = []
-        products: dict[int, dict[int, int]] = {}
+        # (shift, image, (c, m, largest exponent in m) when the image is c*m)
+        mapped = []
+        for v, image in images.items():
+            single = None
+            if len(image._packed) <= 1:
+                m, c = next(iter(image._packed.items()), (0, 0))
+                single = c, m, max((m >> _SHIFTS[w] & _FIELD for w in image.vars), default=0)
+            mapped.append((_SHIFTS[v], image, single))
+        mask = sum(_FIELD << s for s, _, _ in mapped)
+        products: dict[int, tuple[tuple[int, int], ...]] = {}
         out: dict[int, int] = {}
         get = out.get
         for e, c in self._packed.items():
             m = e & mask
             product = products.get(m)
             if product is None:
-                acc = SymbolicPolynomial.constant(1)
-                for s, image in mapped:
-                    if k := m >> s & _FIELD:
-                        acc = acc * image**k
-                product = products[m] = acc._packed
-            if not product:
-                continue
-            if len(order) < len(candidates):
+                product = products[m] = _selection_product(m, mapped)
+            rest = e - m
+            for k, pc in product:
+                key = k + rest
+                out[key] = get(key, 0) + c * pc
+        # the variables that each variable's factor brings into a term, met
+        # over the terms whose product is not zero
+        brings = [(_SHIFTS[v], images[v].vars if v in images else (v,)) for v in self.vars]
+        candidates = {w for _, names in brings for w in names}
+        order: list[str] = []
+        for e in self._packed:
+            if len(order) == len(candidates):
+                break
+            if products[e & mask]:
                 for s, names in brings:
                     if e >> s & _FIELD:
                         order += [w for w in names if w not in order]
-            rest = e - m
-            for k, pc in product.items():
-                key = k + rest
-                out[key] = get(key, 0) + c * pc
         return self._new(tuple(order), {e: c for e, c in out.items() if c})
 
     def scale_exponents(self, factor: int, names: Iterable[str] | None = None) -> "SymbolicPolynomial":

@@ -25,7 +25,7 @@ from motivesums.classtypes import (
     table_goldens,
 )
 from motivesums.curves import CurveDatum
-from motivesums.exactalg import IntPolynomial, SymbolicPolynomial
+from motivesums.exactalg import BudgetError, IntPolynomial, SymbolicPolynomial
 from motivesums.lseries import l_value
 from motivesums.motives import motive_of
 
@@ -340,11 +340,41 @@ def test_sp_certificate_input_validation():
 def test_tampered_ratio_fails_loudly(monkeypatch):
     import motivesums.classsums as cs
 
+    # fill the memoized table steps first, so a cache that ignored the
+    # tampered ratio would let it through
+    sp_certificate(2, "odd", 1)
     broken = cs._golden_sp_ratios()
     broken[(2, "odd")]["t2"] = (IntPolynomial((2,)), broken[(2, "odd")]["t2"][1])
     monkeypatch.setattr(cs, "_golden_sp_ratios", lambda: broken)
     with pytest.raises(CertificateError):
         sp_certificate(2, "odd", 1)
+
+
+@pytest.mark.parametrize("parity", ["odd", "even"])
+@pytest.mark.parametrize("n", [2, 3])
+def test_sp_certificate_is_the_same_with_cold_and_warm_caches(n, parity):
+    import motivesums.classsums as cs
+
+    for r in range(4):
+        cs._count_polynomial.cache_clear()
+        cs._rational_derivatives_at.cache_clear()
+        cold = sp_certificate(n, parity, r)
+        warm = sp_certificate(n, parity, r)
+        assert warm.checks == cold.checks
+        assert str(warm.polynomial) == str(cold.polynomial)
+
+
+def test_certificates_over_the_term_budget_are_refused_before_any_work():
+    start = time.perf_counter()
+    for build in (
+        lambda: sl_prime_certificate(7, 5),
+        lambda: sl_script_p(6, 5),
+        lambda: sp_certificate(3, "odd", 7),
+        lambda: sl_script_p(2, 10**9),
+    ):
+        with pytest.raises(BudgetError):
+            build()
+    assert time.perf_counter() - start < 1
 
 
 # ---------------------------------------------------------------------------

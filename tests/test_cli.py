@@ -197,6 +197,17 @@ def test_budget_exceeded_exits_3(capsys):
     capsys.readouterr()
 
 
+def test_certificate_over_its_term_budget_exits_3(capsys):
+    # bounded by 7^6 * (6*21 + 1) = 14.9 million terms; without the budget
+    # r = 5 already ran for a minute and took 3.8 GB
+    start = time.perf_counter()
+    assert main(["certificate", "--family", "sl-prime", "--params", '{"l": 7, "r": 6}']) == 3
+    elapsed = time.perf_counter() - start
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1 and "terms" in captured.err
+    assert elapsed < 1
+
+
 @pytest.mark.parametrize("degree, code", [(1446, 0), (8676, 3)])
 def test_lefschetz_index_budget(capsys, degree, code):
     # one reduction modulo Phi_N costs (N - phi(N)) * phi(N) steps:

@@ -563,6 +563,22 @@ def test_exponent_overflow_raises():
         SymbolicPolynomial(("v",), {(top,): 1})
 
 
+def test_monomial_images_overflow_exactly():
+    top = 2 ** (exactalg._W - 1)
+    t, q, u, v, w, a = (SymbolicPolynomial.variable(name) for name in "tquvwa")
+    # one image whose k-th power reaches the guard in one field, or carries
+    # past it into the next
+    for k in (4, 8):
+        with pytest.raises(OverflowError):
+            (v**k).substitute({"v": -3 * u * w ** (top // 4)})
+    # five images that each fit but whose product does not: the sum must not
+    # carry into the next field
+    with pytest.raises(OverflowError):
+        (t * q * u * v * w).substitute({name: a**15000 for name in "tquvw"})
+    # the largest exponent that fits
+    assert (t * q).substitute({"t": -(a ** (top // 2 - 1)), "q": 2 * a ** (top // 2)}) == -2 * a ** (top - 1)
+
+
 def test_variable_registration_is_thread_safe():
     prefix = uuid.uuid4().hex
     rounds, workers = 100, 8
@@ -630,9 +646,9 @@ def _eval(p, point):
 _POINTS = st.fixed_dictionaries({v: st.integers(-3, 3) for v in _POOL})
 
 
-@given(_polys(), _polys(), _polys(max_terms=3, max_exp=2), _POINTS, st.integers(0, 3))
+@given(_polys(), _polys(), _polys(max_terms=3, max_exp=2), _POINTS, st.integers(0, 3), st.booleans())
 @settings(max_examples=150, deadline=None)
-def test_ring_operations_match_integer_evaluation(a, b, image, point, k):
+def test_ring_operations_match_integer_evaluation(a, b, image, point, k, bare):
     p, q = SymbolicPolynomial(*a), SymbolicPolynomial(*b)
     va, vb = _eval_terms(*a, point), _eval_terms(*b, point)
     assert _eval(p, point) == va
@@ -644,10 +660,15 @@ def test_ring_operations_match_integer_evaluation(a, b, image, point, k):
     assert _eval(p * q, point) == va * vb
     assert _eval(p**k, point) == va**k
     assert _eval(3 - p, point) == 3 - va and _eval(p * -2, point) == -2 * va
-    # integer and polynomial images; unmapped variables stay put
+    # integer, polynomial, signed monomial and bare-variable images; an
+    # unmapped variable stays put
     img = SymbolicPolynomial(*image)
-    mapping = {_POOL[0]: k - 1, _POOL[1]: img}
-    moved = dict(point, **{_POOL[0]: k - 1, _POOL[1]: _eval(img, point)})
+    x, y, z = (SymbolicPolynomial.variable(v) for v in "xyz")
+    signed = -2 * y**2 * z
+    mapping = {"x": k - 1, "y": img, "z": signed}
+    moved = dict(point, x=k - 1, y=_eval(img, point), z=_eval(signed, point))
+    if bare:
+        mapping["w"], moved["w"] = x, point["x"]
     assert _eval(p.substitute(mapping), point) == _eval_terms(*a, moved)
 
 
