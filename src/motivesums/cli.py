@@ -95,6 +95,13 @@ def _parse_base_function(text: str) -> LefschetzFunction:
     raise _InputError(f"unknown function kind {kind!r}")
 
 
+def _parse_degrees(text: str) -> list[int]:
+    items = [d.strip() for d in text.split(",")]
+    if not all(d.isdecimal() and int(d) > 0 for d in items):
+        raise _InputError(f"--degrees must list positive place degrees, e.g. 2,3, got {text!r}")
+    return [int(d) for d in items]
+
+
 # -- subcommand handlers -----------------------------------------------------
 
 
@@ -173,10 +180,7 @@ def _cmd_lefschetz(args) -> int:
     elif args.op == "fN":
         fn = f_N_transform(_parse_base_function(args.f), args.n)
     else:
-        degrees = [int(d) for d in args.degrees.split(",") if d]
-        if not degrees:
-            raise _InputError("--degrees must list place degrees, e.g. 2,3")
-        fn = place_product(_parse_base_function(args.f), degrees)
+        fn = place_product(_parse_base_function(args.f), _parse_degrees(args.degrees))
     print("m,value")
     for m in range(1, args.m_max + 1):
         print(f"{m},{fn.evaluate(m)}")

@@ -5,10 +5,18 @@ P(0) = 1 and even degree, and two lists of marked place degrees (splitting
 places S, twisting places T).  Base change to the degree-m extension raises
 q to the m-th power, powers the inverse roots of P, and splits each place of
 degree d into gcd(d, m) places of degree d / gcd(d, m).
+
+The determinant quotient h0_quotient_factors and the determinant h0_det
+depend on the place degrees and the motive, never on q, so each is built
+once per key and memoized by value: the key is the degree tuple, the frozen
+ArtinTateMotive and, for h0_det, the names of t and q.  Each memo holds one
+entry per distinct key and is never evicted; the values are tuples and
+immutable polynomials, so a caller cannot change what another reads.
 """
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 from typing import TYPE_CHECKING, Iterable, Iterator
 
@@ -104,7 +112,7 @@ def _place_factors(degrees: Iterable[int], motive: ArtinTateMotive) -> Iterator[
             yield i, p, charpoly_of_power(p.charpoly, e).substitute_power(e)
 
 
-def h0_quotient_factors(degrees: Iterable[int], motive: ArtinTateMotive) -> list[tuple[IntPolynomial, int]]:
+def h0_quotient_factors(degrees: Iterable[int], motive: ArtinTateMotive) -> tuple[tuple[IntPolynomial, int], ...]:
     """h0_det(degrees) / h0_det((1,)) as factors (F, w), F a polynomial in
     U = t * q^(w-1) for the piece of weight w.  Since c_e(U^e) is the product
     of c(zeta * U) over the e-th roots of unity zeta, c(U) divides it: the
@@ -112,7 +120,11 @@ def h0_quotient_factors(degrees: Iterable[int], motive: ArtinTateMotive) -> list
     other place gives c_e(U^e) whole.  Factors equal to 1 are left out.
     Without places the quotient 1 / h0_det((1,)) is not a polynomial, so an
     empty list raises ValueError."""
-    degrees = tuple(degrees)
+    return _h0_quotient_factors(tuple(degrees), motive)
+
+
+@functools.cache
+def _h0_quotient_factors(degrees: tuple[int, ...], motive: ArtinTateMotive) -> tuple[tuple[IntPolynomial, int], ...]:
     if not degrees:
         raise ValueError("the determinant quotient needs at least one place")
     out = []
@@ -121,7 +133,7 @@ def h0_quotient_factors(degrees: Iterable[int], motive: ArtinTateMotive) -> list
             f = f / p.charpoly
         if f.degree > 0:
             out.append((f, p.weight))
-    return out
+    return tuple(out)
 
 
 def h0_factors(degrees: Iterable[int], motive: ArtinTateMotive, t="t", q="q") -> list[SymbolicPolynomial]:
@@ -137,4 +149,9 @@ def h0_factors(degrees: Iterable[int], motive: ArtinTateMotive, t="t", q="q") ->
 def h0_det(degrees: Iterable[int], motive: ArtinTateMotive, t="t", q="q") -> SymbolicPolynomial:
     """Frobenius determinant on global sections over the listed places, in
     the variables named t and q."""
+    return _h0_det(tuple(degrees), motive, t, q)
+
+
+@functools.cache
+def _h0_det(degrees: tuple[int, ...], motive: ArtinTateMotive, t: str, q: str) -> SymbolicPolynomial:
     return math.prod(h0_factors(degrees, motive, t, q), start=SymbolicPolynomial.constant(1))

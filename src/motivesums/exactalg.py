@@ -31,7 +31,7 @@ import itertools
 import math
 import operator
 from fractions import Fraction
-from typing import Iterable, Mapping, Union
+from typing import Iterable, Mapping, Sequence, Union
 
 
 class InexactDivision(ArithmeticError):
@@ -714,24 +714,37 @@ class SymbolicPolynomial:
         return self._exact(self.vars, {e + (e & mask) * (factor - 1): c for e, c in self._packed.items()})
 
     def evaluate(self, assignment: Mapping[str, Union[int, Fraction]]) -> Fraction:
-        """Value at the assigned integers or rationals.  Each variable's
-        powers are computed once per exponent that occurs, and the sum stays
-        in integers unless an assigned value is not one."""
-        missing = [v for v in self.vars if v not in assignment]
+        """Value at the assigned integers or rationals."""
+        return Fraction(sum(self.evaluate_except((), assignment).values()))
+
+    def evaluate_except(
+        self, keep: Sequence[str], assignment: Mapping[str, Union[int, Fraction]]
+    ) -> dict[tuple[int, ...], Union[int, Fraction]]:
+        """This polynomial as one in the variables keep, every other variable
+        at its assigned integer or rational value: {exponents of keep:
+        coefficient}, in one pass over the terms.  Each assigned variable's
+        powers are computed once per exponent that occurs, and the
+        coefficients stay integers unless an assigned value is not one."""
+        missing = [v for v in self.vars if v not in keep and v not in assignment]
         if missing:
             raise KeyError(f"missing assignment for variables {missing}")
+        kept = [_SHIFTS[v] if v in self.vars else None for v in keep]
+        mask = sum(_FIELD << s for s in kept if s is not None)
         tables = []
         for v in self.vars:
-            s, x = _SHIFTS[v], assignment[v]
-            x = x if isinstance(x, int) else Fraction(x)
-            tables.append((s, {k: x**k for k in {e >> s & _FIELD for e in self._packed}}))
-        total = 0
+            if v not in keep:
+                s, x = _SHIFTS[v], assignment[v]
+                x = x if isinstance(x, int) else Fraction(x)
+                tables.append((s, {k: x**k for k in {e >> s & _FIELD for e in self._packed}}))
+        groups: dict[int, Union[int, Fraction]] = {}
+        get = groups.get
         for e, c in self._packed.items():
             for s, powers in tables:
                 if k := e >> s & _FIELD:
                     c *= powers[k]
-            total += c
-        return Fraction(total)
+            key = e & mask
+            groups[key] = get(key, 0) + c
+        return {tuple([0 if s is None else e >> s & _FIELD for s in kept]): c for e, c in groups.items()}
 
     def derivative(self, var: str) -> "SymbolicPolynomial":
         if var not in self.vars:

@@ -441,6 +441,6 @@ def place_product(f: LefschetzFunction, degrees: Iterable[int]) -> LefschetzFunc
     need an over-budget reduction."""
     degrees = list(degrees)
     if any(d < 1 for d in degrees):
-        raise ValueError("transform index must be positive")
+        raise ValueError("place degrees must be positive")
     _check_reduction(math.lcm(f._index(), *degrees))
     return math.prod((f_N_transform(f, d) for d in degrees), start=LefschetzFunction.constant(1))

@@ -110,7 +110,8 @@ def symmetric_pair_eval(
     w = y^2 + w1*y + w0, with all other variables given integer or rational
     values, in integer pairs a + b*y of Z[y]/(w).
 
-    Terms are grouped by their exponents (j, k) in the pair, and
+    One pass over the terms groups them by their exponents (j, k) in the
+    pair (SymbolicPolynomial.evaluate_except), and
     r^j * s^k = w0^min(j, k) * r^(j-k), or w0^min(j, k) * s^(k-j) when
     k > j, is read from one table of r^m.  The y-part must vanish, as it
     does for a symmetric polynomial whether or not w splits; the constant
@@ -118,21 +119,7 @@ def symmetric_pair_eval(
     if monic_quadratic.degree != 2 or not monic_quadratic.is_monic():
         raise ValueError("conjugate pair requires a monic quadratic")
     w0, w1 = monic_quadratic.coeffs[:2]
-    assignment = assignment or {}
-    names, terms = poly.vars, poly.terms
-    ia, ib = (names.index(v) if v in names else None for v in pair)
-    tables = []
-    for i, v in enumerate(names):
-        if v not in pair:
-            x = assignment[v]
-            x = x if isinstance(x, int) else Fraction(x)
-            tables.append((i, {e: x**e for e in {exps[i] for exps in terms}}))
-    groups: dict[tuple[int, int], int] = {}
-    for exps, c in terms.items():
-        for i, powers in tables:
-            c *= powers[exps[i]]
-        jk = (0 if ia is None else exps[ia], 0 if ib is None else exps[ib])
-        groups[jk] = groups.get(jk, 0) + c
+    groups = poly.evaluate_except(pair, assignment or {})
     # r^m = a[m] + b[m]*y, r^(m+1) = -b[m]*w0 + (a[m] - b[m]*w1)*y and
     # s^m = (a[m] - b[m]*w1) - b[m]*y
     a, b = [1], [0]

@@ -183,6 +183,14 @@ def test_malformed_json_exits_2(capsys):
         # certificate sizes are checked before any work
         (["certificate", "--family", "sl-prime", "--params", '{"l": 1000000007}'], "exponent reached"),
         (["certificate", "--family", "sl-general", "--params", '{"n": 1000000000, "r": 1}'], "exponent reached"),
+        # every item of --degrees must be a positive integer
+        (["lefschetz", "--op", "place-product", "--degrees", "2,,3"], "--degrees"),
+        (["lefschetz", "--op", "place-product", "--degrees", "2,"], "--degrees"),
+        (["lefschetz", "--op", "place-product", "--degrees", ""], "--degrees"),
+        (["lefschetz", "--op", "place-product", "--degrees", "0"], "--degrees"),
+        (["lefschetz", "--op", "place-product", "--degrees", "2,-1"], "--degrees"),
+        (["lefschetz", "--op", "place-product", "--degrees", "x"], "--degrees"),
+        (["lefschetz", "--op", "place-product", "--degrees", "2.0"], "--degrees"),
     ],
 )
 def test_bad_numbers_exit_2_with_one_line(capsys, argv, message):

@@ -134,8 +134,8 @@ def test_charpoly_divides_its_powered_substitution(ds, e, weight):
     assert rem.is_zero() and quo * c == powered and quo.coeffs[0] == 1
     motive = ArtinTateMotive([GradedPiece(weight, c)])
     # the first place contributes the quotient, later places the whole factor
-    assert h0_quotient_factors((e,), motive) == ([(quo, weight)] if quo.degree > 0 else [])
-    assert h0_quotient_factors((1, e), motive) == [(powered, weight)]
+    assert h0_quotient_factors((e,), motive) == (((quo, weight),) if quo.degree > 0 else ())
+    assert h0_quotient_factors((1, e), motive) == ((powered, weight),)
 
 
 def test_quotient_factors_need_a_place():

@@ -513,3 +513,9 @@ def test_reduction_budget():
     with pytest.raises(BudgetError):
         f.evaluate(1)
     assert LefschetzFunction.single(1, zeta(241)).evaluate(241) == 1
+
+
+def test_place_degrees_must_be_positive():
+    for degrees in ([0], [2, -1]):
+        with pytest.raises(ValueError, match="place degrees must be positive"):
+            place_product(LefschetzFunction.chi(2), degrees)

@@ -3,9 +3,11 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from motivesums import curves
+from motivesums.classsums import class_sum
 from motivesums.curves import CurveDatum, h0_det
 from motivesums.exactalg import IntPolynomial, SymbolicPolynomial, power_by_squaring, to_int_poly
 from motivesums.lefschetz import CyclotomicRational, LefschetzFunction
@@ -414,6 +416,91 @@ def test_symmetric_pair_eval_matches_fraction_reference(poly, w, x):
         assert value == poly.evaluate({"x": x, "a": r1, "b": r2})
 
 
+def _tuple_keyed_pair_eval(poly, pair, monic_quadratic, assignment=None):
+    """The earlier symmetric_pair_eval, which unpacked every term into an
+    exponent tuple: terms grouped by (j, k) over poly.terms, then the same
+    table of r^m in Z[y]/(w)."""
+    w0, w1 = monic_quadratic.coeffs[:2]
+    assignment = assignment or {}
+    names, terms = poly.vars, poly.terms
+    ia, ib = (names.index(v) if v in names else None for v in pair)
+    tables = []
+    for i, v in enumerate(names):
+        if v not in pair:
+            x = assignment[v]
+            x = x if isinstance(x, int) else Fraction(x)
+            tables.append((i, {e: x**e for e in {exps[i] for exps in terms}}))
+    groups = {}
+    for exps, c in terms.items():
+        for i, powers in tables:
+            c *= powers[exps[i]]
+        jk = (0 if ia is None else exps[ia], 0 if ib is None else exps[ib])
+        groups[jk] = groups.get(jk, 0) + c
+    a, b = [1], [0]
+    for _ in range(max((abs(j - k) for j, k in groups), default=0)):
+        am, bm = a[-1], b[-1]
+        a.append(-bm * w0)
+        b.append(am - bm * w1)
+    const = ypart = 0
+    for (j, k), c in groups.items():
+        c *= w0 ** min(j, k)
+        am, bm = a[abs(j - k)], b[abs(j - k)]
+        if j < k:
+            am, bm = am - bm * w1, -bm
+        const += c * am
+        ypart += c * bm
+    if ypart:
+        raise ValueError("expression is not symmetric in the conjugate pair")
+    return Fraction(const)
+
+
+_A, _B = SymbolicPolynomial.variable("a"), SymbolicPolynomial.variable("b")
+
+
+@given(_symmetric_polys(), st.integers(-6, 6), st.integers(-6, 6), st.integers(-4, 4))
+@settings(max_examples=200, deadline=None)
+def test_packed_pair_eval_at_split_quadratics(poly, r, s, x):
+    # w = (y - r)(y - s): the value is the polynomial at a = r, b = s
+    w = IntPolynomial((r * s, -r - s, 1))
+    assert symmetric_pair_eval(poly, ("a", "b"), w, {"x": x}) == poly.evaluate({"x": x, "a": r, "b": s})
+    assert symmetric_pair_eval(poly, ("b", "a"), w, {"x": x}) == poly.evaluate({"x": x, "a": s, "b": r})
+    # a - b adds 2 to the y-part, which is 0 for the symmetric part
+    with pytest.raises(ValueError):
+        symmetric_pair_eval(poly + _A - _B, ("a", "b"), w, {"x": x})
+
+
+@given(
+    _symmetric_polys(),
+    st.integers(-9, 9),
+    st.integers(-9, 9),
+    st.fractions(min_value=-3, max_value=3, max_denominator=7),
+    st.integers(-3, 3),
+)
+@settings(max_examples=200, deadline=None)
+def test_packed_pair_eval_matches_tuple_keyed_code(poly, w0, w1, x, c):
+    # an irreducible w: its discriminant is not a square
+    disc = w1 * w1 - 4 * w0
+    assume(disc < 0 or math.isqrt(disc) ** 2 != disc)
+    w = IntPolynomial((w0, w1, 1))
+    value = symmetric_pair_eval(poly, ("a", "b"), w, {"x": x})
+    assert value == _tuple_keyed_pair_eval(poly, ("a", "b"), w, {"x": x})
+    # an asymmetric c*(a - b) * x is refused by both unless it vanishes
+    tilted = poly + c * (_A - _B) * SymbolicPolynomial.variable("x")
+    if c and x:
+        for evaluate in (symmetric_pair_eval, _tuple_keyed_pair_eval):
+            with pytest.raises(ValueError):
+                evaluate(tilted, ("a", "b"), w, {"x": x})
+    else:
+        assert symmetric_pair_eval(tilted, ("a", "b"), w, {"x": x}) == value
+
+
+def test_symmetric_pair_eval_needs_every_other_variable():
+    w = IntPolynomial((2, -1, 1))
+    x = SymbolicPolynomial.variable("x")
+    with pytest.raises(KeyError):
+        symmetric_pair_eval(x * (_A + _B), ("a", "b"), w)
+
+
 def test_symmetric_pair_eval_with_extra_vars():
     a = SymbolicPolynomial.variable("a")
     b = SymbolicPolynomial.variable("b")
@@ -487,3 +574,43 @@ def test_fit_with_extra_bases():
     assert fitted is not None
     for m in range(1, 9):
         assert fitted.evaluate_rational(m) == values[m - 1]
+
+
+# ---------------------------------------------------------------------------
+# memoized determinant quotients
+# ---------------------------------------------------------------------------
+
+
+def _clear_determinant_memos():
+    curves._h0_det.cache_clear()
+    curves._h0_quotient_factors.cache_clear()
+
+
+@pytest.mark.parametrize("weil", [[1], [1, 1, 3]], ids=["genus0", "genus1"])
+def test_l_values_are_the_same_with_cold_and_warm_caches(weil):
+    # every value computed with cleared memos, then twice more with the
+    # memos filling up and full; groups share place degrees, so a memo
+    # keyed without the motive or the variable names would differ
+    specs = [{"SL": 2}, {"SL": 3}, {"SL": 4}, {"Sp": 4}, {"GL": 2}]
+    shapes = [((1,), (1,)), ((1, 1), (2,)), ((2, 3), (1,)), ((2,), (3,))]
+    jobs = []
+    for spec in specs:
+        motive = motive_of(spec)
+        for s, t in shapes:
+            for names in (("t", "q"), ("a1", "x"), ("a2", "x")):
+                jobs.append(lambda motive=motive, s=s, names=names: h0_det(s, motive, *names))
+            for m in (1, 2, 3, 5):
+                curve = CurveDatum(3, weil, s, t).base_change(m)
+                jobs.append(lambda motive=motive, curve=curve: l_value(motive, curve))
+                jobs.append(lambda motive=motive, curve=curve: z_polynomial(motive, curve, len(weil) - 1))
+                if "GL" not in spec:
+                    split = CurveDatum(3, weil, s + t).base_change(m)
+                    jobs.append(lambda spec=spec, curve=split: class_sum(spec, curve))
+
+    def cold(job):
+        _clear_determinant_memos()
+        return job()
+
+    runs = [[cold(job) for job in jobs], [job() for job in jobs], [job() for job in jobs]]
+    # str as well: printing follows the variable order, which == ignores
+    assert [[(v, str(v)) for v in run] for run in runs[1:]] == [[(v, str(v)) for v in runs[0]]] * 2
