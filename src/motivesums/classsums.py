@@ -6,6 +6,12 @@ polynomial in x (standing for the field size) and in symbolic inverse-root
 variables a1..ar, verifying every divisibility and congruence condition
 needed for integrality along the way.  Each verified condition is recorded
 with a witness; any failure raises CertificateError naming the condition.
+
+The types that class_sum adds up depend on the group and the parity of q
+only, so each is built once, with its centralizer motive, and memoized by
+value: the key is the group kind, its size and whether q is even.  The memo
+holds one entry per distinct key and is never evicted; the values are tuples
+of frozen types and motives, so a caller cannot change what another reads.
 """
 from __future__ import annotations
 
@@ -18,6 +24,7 @@ from typing import Callable, Sequence
 
 from .classtypes import (
     SLType,
+    SpType,
     count_sl,
     count_sp,
     divisors,
@@ -40,7 +47,7 @@ from .exactalg import (
     to_int_poly,
 )
 from .lseries import evaluate_with_weil_roots, j_variable_names, l_value
-from .motives import parse_group_spec
+from .motives import ArtinTateMotive, parse_group_spec
 
 
 class CertificateError(ArithmeticError):
@@ -65,25 +72,6 @@ class SymbolicCertificate:
     checks: tuple[Check, ...]
     closed_forms: tuple[tuple[str, SymbolicPolynomial], ...] = ()
     regime: str = ""
-
-    def as_json_dict(self) -> dict:
-        def poly_dict(p: SymbolicPolynomial) -> dict:
-            return {
-                "text": str(p),
-                "terms": [
-                    {"coefficient": c, "powers": dict(zip(p.vars, exps))}
-                    for exps, c in sorted(p.terms.items())
-                ],
-            }
-
-        return {
-            "group": self.group,
-            "j_arity": self.j_arity,
-            "regime": self.regime,
-            "polynomial": poly_dict(self.polynomial),
-            "closed_forms": {name: poly_dict(p) for name, p in self.closed_forms},
-            "checks": [dataclasses.asdict(c) for c in self.checks],
-        }
 
 
 @dataclasses.dataclass(frozen=True)
@@ -150,20 +138,26 @@ def class_sum(spec, curve: CurveDatum) -> Fraction:
     ((kind, size),) = spec.items()
     q = curve.q
     total = Fraction(0)
+    for t, motive in _summed_types(kind, size, q % 2 == 0):
+        count = count_sl(size, t.pairs[0][0], q) if kind == "SL" else count_sp(t, q)
+        total += count * l_value(motive, curve)
+    return total
+
+
+@functools.cache
+def _summed_types(kind: str, size: int, q_even: bool) -> tuple[tuple[SLType | SpType, ArtinTateMotive], ...]:
+    """The types that class_sum adds up, each with its centralizer motive."""
     if kind == "SL":
         if size < 1:
             raise ValueError("n must be positive")
-        for d in divisors(size):
-            total += count_sl(size, d, q) * l_value(sl_centralizer_motive(SLType([(d, size // d)])), curve)
-    elif kind == "Sp":
+        types = [SLType([(d, size // d)]) for d in divisors(size)]
+        return tuple((t, sl_centralizer_motive(t)) for t in types)
+    if kind == "Sp":
         if size % 2:
             raise ValueError("Sp size must be even")
-        for t in enumerate_sp_types(size // 2, q_even=q % 2 == 0):
-            if not t.gl_pairs:
-                total += count_sp(t, q) * l_value(sp_centralizer_motive(t), curve)
-    else:
-        raise ValueError(f"class sums are implemented for SL and Sp, not {kind}")
-    return total
+        types = [t for t in enumerate_sp_types(size // 2, q_even) if not t.gl_pairs]
+        return tuple((t, sp_centralizer_motive(t)) for t in types)
+    raise ValueError(f"class sums are implemented for SL and Sp, not {kind}")
 
 
 # ---------------------------------------------------------------------------

@@ -211,7 +211,9 @@ def count_sp(t: SpType, q: int) -> int:
     elements, as an exact integer."""
     if q % 2 == 0 and t.a_minus:
         raise ValueError("eigenvalue -1 blocks require odd field size")
-    value = Fraction(2 if t.a_plus != t.a_minus and q % 2 else 1)
+    # the falling factorials over the product of the multiplicities' factorials
+    num = 2 if t.a_plus != t.a_minus and q % 2 else 1
+    den = 1
     for blocks, counter in (
         (t.unitary_pairs, lambda d: s_count(2 * d, q)),
         (t.gl_pairs, lambda e: _reciprocal_pair_count(e, q)),
@@ -220,12 +222,13 @@ def count_sp(t: SpType, q: int) -> int:
         for d, b in blocks:
             by_degree.setdefault(d, []).append(b)
         for d, bs in by_degree.items():
-            value *= math.perm(counter(d), len(bs))  # falling factorial
+            num *= math.perm(counter(d), len(bs))
             for mult in set(bs):
-                value /= math.factorial(bs.count(mult))
-    if value.denominator != 1 or value < 0:
-        raise ArithmeticError(f"class count {value} is not a nonnegative integer")
-    return int(value)
+                den *= math.factorial(bs.count(mult))
+    value, rem = divmod(num, den)
+    if rem or value < 0:
+        raise ArithmeticError(f"class count {Fraction(num, den)} is not a nonnegative integer")
+    return value
 
 
 # ---------------------------------------------------------------------------

@@ -14,17 +14,22 @@ budget).
 from __future__ import annotations
 
 import argparse
+import dataclasses
+import itertools
 import json
 import sys
+from typing import Sequence, TextIO
 
 from .classsums import (
     CertificateError,
+    SymbolicCertificate,
     class_sum,
     sl_prime_certificate,
     sl_script_p,
     sp_certificate,
 )
 from .curves import CurveDatum
+from .exactalg import SymbolicPolynomial
 from .lefschetz import LefschetzFunction, f_N_transform, place_product
 from .lseries import l_value
 from .motives import motive_of
@@ -102,6 +107,70 @@ def _parse_degrees(text: str) -> list[int]:
     return [int(d) for d in items]
 
 
+def write_certificate(cert: SymbolicCertificate, out: TextIO) -> None:
+    """Write the certificate as one JSON object: its group, arity, regime,
+    polynomial, closed forms and checks, in the bytes that
+    json.dumps(..., indent=2) gives for that object.  A polynomial is its
+    text and its terms, ordered by their exponents in the order of its
+    variables, and the terms are written a batch at a time."""
+    # the nonsplit closed form is the certificate polynomial itself, so
+    # each distinct polynomial is printed and sorted once
+    parts: dict[int, tuple] = {}
+
+    def write_polynomial(p: SymbolicPolynomial, indent: str) -> None:
+        if id(p) not in parts:
+            parts[id(p)] = (str(p), p.vars, *p.sorted_columns(graded=False))
+        _write_polynomial(out, *parts[id(p)], indent)
+
+    out.write(f'{{\n  "group": {_indented(cert.group, "  ")},\n')
+    out.write(f'  "j_arity": {json.dumps(cert.j_arity)},\n  "regime": {json.dumps(cert.regime)},\n')
+    out.write('  "polynomial": ')
+    write_polynomial(cert.polynomial, "  ")
+    out.write(',\n  "closed_forms": {')
+    for i, (name, p) in enumerate(cert.closed_forms):
+        out.write(f'{"," if i else ""}\n    {json.dumps(name)}: ')
+        write_polynomial(p, "    ")
+    out.write("\n  }" if cert.closed_forms else "}")
+    checks = [dataclasses.asdict(c) for c in cert.checks]
+    out.write(f',\n  "checks": {_indented(checks, "  ")}\n}}')
+
+
+def _indented(value, indent: str) -> str:
+    """json.dumps(value, indent=2) for a value that opens at the given
+    indent; a newline in the text is always structural, as json.dumps
+    escapes the ones inside strings."""
+    return json.dumps(value, indent=2).replace("\n", "\n" + indent)
+
+
+def _write_polynomial(
+    out: TextIO, text: str, names: Sequence[str], coeffs: list[int], columns: list[list[int]], indent: str
+) -> None:
+    """One polynomial object of write_certificate, opening at the given
+    indent, from its text and its sorted terms; each variable's line of a
+    term is formatted once per distinct exponent."""
+    out.write(f'{{\n{indent}  "text": {json.dumps(text)},\n{indent}  "terms": ')
+    if not coeffs:
+        out.write(f"[]\n{indent}}}")
+        return
+    if columns:
+        lines = []
+        for v, col in zip(names, columns):
+            line = {e: f"{indent}        {json.dumps(v)}: {e}" for e in set(col)}
+            lines.append(map(line.__getitem__, col))
+        powers = (f"{{\n{body}\n{indent}      }}" for body in map(",\n".join, zip(*lines)))
+    else:
+        powers = itertools.repeat("{}")
+    terms = (
+        f'{indent}    {{\n{indent}      "coefficient": {c},\n{indent}      "powers": {power}\n{indent}    }}'
+        for c, power in zip(coeffs, powers)
+    )
+    out.write("[\n" + next(terms))
+    rest = (",\n" + term for term in terms)
+    while chunk := "".join(itertools.islice(rest, 512)):
+        out.write(chunk)
+    out.write(f"\n{indent}  ]\n{indent}}}")
+
+
 # -- subcommand handlers -----------------------------------------------------
 
 
@@ -146,7 +215,8 @@ def _cmd_certificate(args) -> int:
             cert = sp_certificate(params["n"], params["parity"], params.get("r", 0))
     except KeyError as exc:
         raise _InputError(f"--params is missing {exc}") from exc
-    print(json.dumps(cert.as_json_dict(), indent=2))
+    write_certificate(cert, sys.stdout)
+    print()
     return 0
 
 

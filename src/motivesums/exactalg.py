@@ -360,21 +360,56 @@ def poly_gcd(a: IntPolynomial, b: IntPolynomial) -> IntPolynomial:
 
 
 def resultant(p: IntPolynomial, q: IntPolynomial) -> int:
-    """The resultant (the Sylvester determinant), folded exactly over the
-    remainder sequence: Res(a, c) = c^(deg a) for a constant c, and with
-    r = a mod b, Res(a, b) = (-1)^(deg a * deg b) * lc(b)^(deg a - deg r) *
-    Res(b, r), which is 0 when r = 0 and b is not constant."""
+    """The resultant (the Sylvester determinant), in integers only.
+
+    Res(c, q) = c^(deg q) for a constant c.  Otherwise, with d = deg p,
+    e = deg q and lc the leading coefficient of p, the substitution
+    y -> y/lc makes p monic: p~(y) = lc^(d-1) * p(y/lc) and
+    q~(y) = lc^e * q(y/lc) are integer polynomials, and the roots of p~ are
+    lc times those of p.  So Res(p~, q~), the product of q~ over the roots
+    of p~, is lc^(e(d-1)) * Res(p, q).  It is the determinant of
+    multiplication by r = q~ mod p~ on Z[y]/(p~), taken by Bareiss
+    elimination (Math. Comp. 22 (1968)), and the last step divides it
+    exactly by lc^(e(d-1))."""
     if p.is_zero() or q.is_zero():
         raise ValueError("resultant of the zero polynomial is undefined")
-    res, da = 1, p.degree
-    for _, b, r in remainder_sequence(p.coeffs, q.coeffs):
-        db = len(b) - 1
-        if not db:
-            return int(res * b[0] ** da)
-        if not r:
-            return 0
-        res *= (-1) ** (da * db) * b[-1] ** (da - len(r) + 1)
-        da = db
+    d, e, lc = p.degree, q.degree, p.leading()
+    if not d:
+        return lc**e
+    low = [c * lc ** (d - 1 - i) for i, c in enumerate(p.coeffs[:-1])]
+    scaled = [c * lc ** (e - j) for j, c in enumerate(q.coeffs)]
+    row = dense_divmod(scaled, low + [1], operator.sub, operator.mul, monic_head)[1]
+    if not row:
+        return 0
+    # the rows are y^i * r mod p~ for i = 0 .. d-1
+    row += [0] * (d - len(row))
+    rows = [row]
+    for _ in range(d - 1):
+        top = row[-1]
+        row = [0] + row[:-1]
+        if top:
+            row = [a - top * b for a, b in zip(row, low)]
+        rows.append(row)
+    return _exact_int_div(_bareiss_det(rows), lc ** (e * (d - 1)))
+
+
+def _bareiss_det(rows: list[list[int]]) -> int:
+    """Determinant of a square integer matrix, given as a list of rows that
+    this consumes, by fraction-free elimination: every division is exact."""
+    n, sign, prev = len(rows), 1, 1
+    for k in range(n - 1):
+        if not rows[k][k]:
+            swap = next((i for i in range(k + 1, n) if rows[i][k]), None)
+            if swap is None:
+                return 0
+            rows[k], rows[swap] = rows[swap], rows[k]
+            sign = -sign
+        pivot, head = rows[k][k], rows[k][k + 1 :]
+        for i in range(k + 1, n):
+            a = rows[i][k]
+            rows[i][k + 1 :] = [(x * pivot - a * y) // prev for x, y in zip(rows[i][k + 1 :], head)]
+        prev = pivot
+    return sign * rows[-1][-1]
 
 
 def root_power_transform(w: IntPolynomial, m: int) -> IntPolynomial:
@@ -865,19 +900,42 @@ class SymbolicPolynomial:
 
     # -- printing ------------------------------------------------------------
 
+    def sorted_columns(self, graded: bool) -> tuple[list[int], list[list[int]]]:
+        """The coefficients and, for each variable of vars, its exponent in
+        each term, with the terms in ascending order of their exponents in
+        vars order, taken by total degree first when graded.
+
+        One integer key orders the terms: the exponents as bit fields just
+        wide enough for each column, the first variable of vars highest,
+        under the total degree when graded."""
+        coeffs = list(self._packed.values())
+        if not self.vars:  # a constant has at most one term
+            return coeffs, []
+        monos = list(self._packed)
+        columns = [[m >> _SHIFTS[v] & _FIELD for m in monos] for v in self.vars]
+        keys, width = columns[0], 0
+        for col in columns[1:]:
+            w = max(col, default=0).bit_length()
+            keys = [k << w | e for k, e in zip(keys, col)]
+            width += w
+        if graded:
+            width += max(columns[0], default=0).bit_length()
+            keys = [d << width | k for d, k in zip(map(sum, zip(*columns)), keys)]
+        order = sorted(range(len(monos)), key=keys.__getitem__)
+        return [coeffs[i] for i in order], [[col[i] for i in order] for col in columns]
+
     def __str__(self) -> str:
-        terms = self.terms
-        parts = []
-        for exps in sorted(terms, key=lambda e: (sum(e), e)):
-            c = terms[exps]
-            mag = abs(c)
-            body = "*".join(v if e == 1 else f"{v}^{e}" for v, e in zip(self.vars, exps) if e)
-            if not body:
-                body = str(mag)
-            elif mag != 1:
-                body = f"{mag}*{body}"
-            parts.append((c, body))
-        return _signed_sum(parts)
+        coeffs, columns = self.sorted_columns(graded=True)
+        # each term's factors, each written with a leading "*"
+        factors = []
+        for v, col in zip(self.vars, columns):
+            powers = {e: f"*{v}" if e == 1 else f"*{v}^{e}" for e in set(col)}
+            powers[0] = ""
+            factors.append(map(powers.__getitem__, col))
+        bodies = map("".join, zip(*factors)) if factors else itertools.repeat("")
+        return _signed_sum(
+            (c, body[1:] if abs(c) == 1 and body else f"{abs(c)}{body}") for c, body in zip(coeffs, bodies)
+        )
 
     def __repr__(self) -> str:
         return f"SymbolicPolynomial('{self}')"

@@ -1,13 +1,19 @@
 """Tests for class sums and the symbolic integrality certificates."""
+import dataclasses
 import hashlib
+import io
+import json
 import math
 import time
 from fractions import Fraction
 
 import pytest
 
+from motivesums import classsums as cs
+from motivesums import curves
 from motivesums.classsums import (
     CertificateError,
+    SymbolicCertificate,
     class_sum,
     derivative_witness,
     evaluate_certificate,
@@ -24,6 +30,7 @@ from motivesums.classtypes import (
     sp_centralizer_motive,
     table_goldens,
 )
+from motivesums.cli import write_certificate
 from motivesums.curves import CurveDatum
 from motivesums.exactalg import BudgetError, IntPolynomial, SymbolicPolynomial
 from motivesums.lseries import l_value
@@ -398,14 +405,111 @@ def test_derivative_witness_two_variables_symmetric():
         assert p.substitute(swap) == p
 
 
+def as_json_dict(cert: SymbolicCertificate) -> dict:
+    """The certificate's JSON object, built whole: the reference for the
+    streamed cli.write_certificate."""
+
+    def poly_dict(p: SymbolicPolynomial) -> dict:
+        return {
+            "text": str(p),
+            "terms": [
+                {"coefficient": c, "powers": dict(zip(p.vars, exps))}
+                for exps, c in sorted(p.terms.items())
+            ],
+        }
+
+    return {
+        "group": cert.group,
+        "j_arity": cert.j_arity,
+        "regime": cert.regime,
+        "polynomial": poly_dict(cert.polynomial),
+        "closed_forms": {name: poly_dict(p) for name, p in cert.closed_forms},
+        "checks": [dataclasses.asdict(c) for c in cert.checks],
+    }
+
+
 def test_certificate_json_shape():
     cert = sl_prime_certificate(3, 1)
-    data = cert.as_json_dict()
+    data = as_json_dict(cert)
     assert data["group"] == {"SL": 3}
     assert data["j_arity"] == 1
     assert {"split", "nonsplit"} <= set(data["closed_forms"])
     assert all(c["passed"] for c in data["checks"])
     assert all("coefficient" in t for t in data["polynomial"]["terms"])
+
+
+def _odd_certificate() -> SymbolicCertificate:
+    """A certificate with the shapes no build gives: a zero and a constant
+    closed form, variables out of their registration order, no checks and
+    text that JSON must escape."""
+    a, b = SymbolicPolynomial.variable("a1"), SymbolicPolynomial.variable("a2")
+    return SymbolicCertificate(
+        group={"Sp": 4, "note": [1, {"x": None}]},
+        j_arity=2,
+        polynomial=(b - 2**70 * a) ** 2 + b * a**3,
+        checks=(),
+        closed_forms=(("zero", SymbolicPolynomial.constant(0)), ("one", SymbolicPolynomial.constant(-1))),
+        regime='a "quoted"\nregime \u00e9',
+    )
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: sl_prime_certificate(3, 2),
+        lambda: sl_prime_certificate(2, 0),
+        lambda: sl_script_p(1, 0),
+        lambda: sl_script_p(2, 1, 3, 1),
+        lambda: sp_certificate(2, "even", 1),
+        _odd_certificate,
+    ],
+    ids=["sl-prime-3-2", "sl-prime-2-0", "sl-general-1-0", "sl-general-2-1-scaled", "sp-4-even-1", "odd-shapes"],
+)
+def test_streamed_certificate_json_matches_the_whole_object(build):
+    cert = build()
+    out = io.StringIO()
+    write_certificate(cert, out)
+    assert out.getvalue() == json.dumps(as_json_dict(cert), indent=2)
+
+
+def _clear_class_sum_memos():
+    cs._summed_types.cache_clear()
+    curves._h0_det.cache_clear()
+    curves._h0_quotient_factors.cache_clear()
+
+
+# Weil numerators of genus 0, 1 and 2 over each field size
+_WEIL = {2: ([1], [1, 1, 2], [1, 1, 1, 2, 4]), 3: ([1], [1, -2, 3], [1, 1, 1, 3, 9])}
+
+
+def test_class_sums_and_evaluations_are_the_same_with_cold_and_warm_memos():
+    # every value computed with cleared memos, then twice more with the
+    # memos filling up and full; SL and Sp sizes and both parities of q
+    # share the memos, so a key that dropped one of them would differ
+    specs = [{"SL": n} for n in range(2, 7)] + [{"Sp": 4}, {"Sp": 6}]
+    jobs = []
+    for q, weils in _WEIL.items():
+        parity = "even" if q % 2 == 0 else "odd"
+        for weil in weils:
+            r = len(weil) - 1
+            base = CurveDatum(q, weil, (1, 1))
+            for spec in specs:
+                ((kind, size),) = spec.items()
+                cert = None
+                if r < 4:  # certificates evaluate over genus 0 and 1
+                    cert = sl_script_p(size, r) if kind == "SL" else sp_certificate(size // 2, parity, r)
+                for m in (1, 2, 3):
+                    curve = base.base_change(m)
+                    jobs.append(lambda spec=spec, curve=curve: class_sum(spec, curve))
+                    if cert is not None:
+                        jobs.append(lambda cert=cert, base=base, m=m: evaluate_certificate(cert, base, m))
+
+    def cold(job):
+        _clear_class_sum_memos()
+        return job()
+
+    runs = [[cold(job) for job in jobs], [job() for job in jobs], [job() for job in jobs]]
+    assert runs[1:] == [runs[0]] * 2
 
 
 # Printed certificate polynomials, pinned as the quotient of the step-by-step

@@ -338,6 +338,29 @@ def test_resultant_multiplicative(p, q, r):
     assert resultant(p, q * r) == resultant(p, q) * resultant(p, r)
 
 
+@given(st.integers(1, 6), st.data())
+@settings(max_examples=150, deadline=None)
+def test_resultant_with_a_negative_leading_coefficient(d, data):
+    # the monic substitution scales by powers of lc, so a negative lc checks
+    # the signs of the scaling and of the exact division
+    low = data.draw(st.lists(st.integers(-9, 9), min_size=d, max_size=d))
+    p = IntPolynomial(low + [data.draw(st.integers(-7, -1))])
+    q = data.draw(nonzero_poly)
+    value = resultant(p, q)
+    assert type(value) is int
+    assert value == sylvester_resultant(p, q)
+
+
+@given(st.integers(1, 6), st.integers(-4, 4), nonzero_poly)
+@settings(max_examples=100, deadline=None)
+def test_resultant_of_a_shared_root_is_zero(d, root, b):
+    shared = IntPolynomial((-root, 1))
+    # degree d, with leading coefficient -2
+    p = shared * IntPolynomial((1,) * (d - 1) + (-2,))
+    value = resultant(p, shared * b)
+    assert value == 0 and type(value) is int
+
+
 # ---------------------------------------------------------------------------
 # root power transform
 # ---------------------------------------------------------------------------
@@ -731,3 +754,68 @@ def test_equality_and_hash_ignore_variable_order(a, rnd):
     p = SymbolicPolynomial(names, terms)
     assert p == shuffled and hash(p) == hash(shuffled)
     assert p + 1 != shuffled
+
+
+# The printer against the exponent-tuple printer it replaced, which keeps the
+# format fixed: terms by total degree, then by their exponents in vars order.
+
+
+def reference_str(p: SymbolicPolynomial) -> str:
+    terms = p.terms
+    parts = []
+    for exps in sorted(terms, key=lambda e: (sum(e), e)):
+        c = terms[exps]
+        mag = abs(c)
+        body = "*".join(v if e == 1 else f"{v}^{e}" for v, e in zip(p.vars, exps) if e)
+        if not body:
+            body = str(mag)
+        elif mag != 1:
+            body = f"{mag}*{body}"
+        parts.append((c, body))
+    return exactalg._signed_sum(parts)
+
+
+# registered in this order, so that drawn variable orders differ from it
+_PRINT_POOL = tuple(f"p{uuid.uuid4().hex[:8]}_{i}" for i in range(4))
+for _name in _PRINT_POOL:
+    SymbolicPolynomial.variable(_name)
+
+_TOP = 2**15 - 1
+_exponents = st.one_of(st.integers(0, 3), st.integers(0, _TOP))
+_coefficients = st.one_of(st.integers(-3, 3), st.integers(-(2**80), 2**80), st.sampled_from([2**64 + 1, -(2**64) - 1]))
+
+
+@st.composite
+def _printable(draw):
+    names = draw(st.permutations(_PRINT_POOL))[: draw(st.integers(0, len(_PRINT_POOL)))]
+    exps = st.tuples(*[_exponents] * len(names))
+    return SymbolicPolynomial(tuple(names), draw(st.dictionaries(exps, _coefficients, max_size=10)))
+
+
+@given(_printable())
+@settings(max_examples=300, deadline=None)
+def test_printer_matches_the_exponent_tuple_printer(p):
+    assert str(p) == reference_str(p)
+    # the ungraded order is the exponent tuples' order, which the
+    # certificate JSON lists its terms in
+    coeffs, columns = p.sorted_columns(graded=False)
+    rows = list(zip(*columns)) if columns else [()] * len(coeffs)
+    assert list(zip(rows, coeffs)) == sorted(p.terms.items())
+
+
+@pytest.mark.parametrize("c", [0, 1, -1, 7, -(2**70), 2**64 + 5])
+def test_printer_on_constants(c):
+    p = SymbolicPolynomial.constant(c)
+    assert str(p) == reference_str(p) == str(c)
+    assert p.sorted_columns(graded=True) == ([c] if c else [], [])
+
+
+def test_printer_orders_by_degree_before_variable_order():
+    a, b = (SymbolicPolynomial.variable(v) for v in _PRINT_POOL[:2])
+    # vars (b, a): b, of degree 1, comes first although a^2 has the smaller
+    # exponents (0, 2); of the degree-2 terms, a^2 comes before b^2 (2, 0)
+    p = b**2 + b + a**2
+    assert p.vars[0] == _PRINT_POOL[1]
+    assert str(p) == f"{_PRINT_POOL[1]} + {_PRINT_POOL[0]}^2 + {_PRINT_POOL[1]}^2"
+    big = b**_TOP - 3 * a
+    assert str(big) == reference_str(big) == f"-3*{_PRINT_POOL[0]} + {_PRINT_POOL[1]}^{_TOP}"

@@ -23,6 +23,7 @@ from motivesums.lseries import (
     z_polynomial,
 )
 from motivesums.motives import motive_of
+from test_exactalg import sylvester_resultant
 
 
 def projective_line(q, s=(1,), t=(1,)):
@@ -77,6 +78,16 @@ def test_l_value_with_weil_roots():
     # F1 = (1 - a*2)(1 - b*2) = 1 - 2(a+b) + 4ab = 7; F2 = 1; F3 = 1/(1 - 8)... times h0 quotient
     # S = T = {1}: F2 and F3 quotients are 1, so value = F1 = 7
     assert l_value(m, curve) == 7
+
+
+@given(st.lists(st.integers(-9, 9), min_size=1, max_size=7).map(IntPolynomial), st.integers(1, 3))
+@settings(max_examples=100, deadline=None)
+def test_weil_root_product_in_genus_two(poly, m):
+    assume(not poly.is_zero())
+    curve = CurveDatum(2, [1, 1, 1, 2, 4], (1, 1)).base_change(m)
+    value = weil_root_product(curve, poly)
+    assert type(value) is int
+    assert value == sylvester_resultant(curve.weil_reciprocal(), poly)
 
 
 def _l_value_reference(motive, curve):

@@ -1,0 +1,84 @@
+"""Printed output pinned by sha256: certificate JSON as the CLI writes it and
+the text of z-polynomials.  The digests were taken before the printer and the
+certificate writer worked from packed monomials, so any change to the bytes
+a user sees fails here."""
+import contextlib
+import hashlib
+import io
+
+import pytest
+
+from motivesums.cli import main
+from motivesums.curves import CurveDatum
+from motivesums.lseries import z_polynomial
+from motivesums.motives import motive_of
+
+
+def sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+CERTIFICATE_DIGESTS = {
+    ("sp", '{"n":2,"parity":"odd","r":0}'): "7494ff574e3649fbe00c2ff071c17ac37acb8f3bb9398e2adbe4afc8631abd46",
+    ("sp", '{"n":2,"parity":"odd","r":1}'): "0dfcd31edb09e62890eabcd7dedce79a3ca96d369b85efe59ebfd1a3dbbd9d42",
+    ("sp", '{"n":2,"parity":"odd","r":2}'): "f9ed0996dd494a8ef538bd2193f3030c2687f08eb251888609f5245ca07c1f97",
+    ("sp", '{"n":2,"parity":"even","r":0}'): "af13c3053a36d6df1e5f45ab36c0a8d86b8bdd9be5e3524ae0761dd0ac063957",
+    ("sp", '{"n":2,"parity":"even","r":1}'): "88d78f58522d6f3709ac764e35e504cb982915348ce983819140e6b1ceed336f",
+    ("sp", '{"n":2,"parity":"even","r":2}'): "92722ad39da99c551a850c2a173abc46409cc314b4fcde208ed15f653e5cf112",
+    ("sp", '{"n":3,"parity":"odd","r":0}'): "02834414bd021eb47cfecdddc2d861bc0f4c1ffe7e8fa5c58dec4e96df5a0fb7",
+    ("sp", '{"n":3,"parity":"odd","r":1}'): "f09b2ed4a4f9169bf7dae3e854e6acf255a20fd26f088c95bd34dd0ae5478718",
+    ("sp", '{"n":3,"parity":"odd","r":2}'): "89d15e0af150b4a22b5b507b9a660ec4090bc54667a7f93e11efdde7aadf9988",
+    ("sp", '{"n":3,"parity":"even","r":0}'): "6d7030d2ee1c9cd6c187f8593539f5829cfdc372aade4f904ef298956ccaaee9",
+    ("sp", '{"n":3,"parity":"even","r":1}'): "2205c170771dce1d7488e4f757aac6fe20516e54aff34aa8153cdde917cf27f5",
+    ("sp", '{"n":3,"parity":"even","r":2}'): "59e9c792a889ce74a99a047667da9919cfdd60d2491316a07a7cf41da85a77cb",
+    ("sl-prime", '{"l":2,"r":0}'): "5b3fcdd5002a6cbb1adc86300e2f68c841c7f5652d937ae81914f85b378a4b1c",
+    ("sl-prime", '{"l":2,"r":1}'): "b4acecbbfb01dc864cc4a9e8cebad612d906fb22c9a17c8491804f4270d64807",
+    ("sl-prime", '{"l":2,"r":2}'): "ebf883ca949ec87e8a3607ce96b57f8a89f71ad9295587a3a7f61379e45d3d3b",
+    ("sl-prime", '{"l":3,"r":0}'): "9ccb5cb1b933ad6622d6039a920f0b909913a2dc54867f87fe49ed417d1985a9",
+    ("sl-prime", '{"l":3,"r":1}'): "13bacae04bf3cb4a10ee1c0ee642b45f1b365f980b6113219d6f16fa499bebdb",
+    ("sl-prime", '{"l":3,"r":2}'): "437b99bc366226a70070a7fa92095deb95741f5cce207ea919f599afe0f458d6",
+    ("sl-prime", '{"l":5,"r":0}'): "36e0d6ff4bfecda26b899123a11aef0c8d984c3b4f79d9a9ed449d6698e3d1e7",
+    ("sl-prime", '{"l":5,"r":1}'): "d071128a667845f47cbfc59562e56d186f3cb7516baa6adcca2a3dcdf26a1f59",
+    ("sl-prime", '{"l":5,"r":2}'): "29ef82d7d6c2bb17948ba6680a2abac81dbbc9f04c1759f0fb8f031878054bb2",
+    ("sl-general", '{"n":1,"r":0}'): "b3c79956ee73bf1daf8803ad793c0d0e76fb4466a0cbd55da5e79e358d0c28d9",
+    ("sl-general", '{"n":1,"r":1}'): "a62638fe7341df78d55a10db3287ec5358e79ed932a0b94d9f1b0d4f9ed93cc8",
+    ("sl-general", '{"n":2,"r":0}'): "ad15d577508b5ab867fa50156346ea4cc52a0b778a9d2d4f64b79d78a882945b",
+    ("sl-general", '{"n":2,"r":1}'): "ba85784d76708f9f5dd3c91a095e0461a00215590328deede397bdf28ea38e62",
+    ("sl-general", '{"n":3,"r":0}'): "68921a34c36487fe63bab395cae5cbe773562103d2147b890e23a1145aab3253",
+    ("sl-general", '{"n":3,"r":1}'): "e25b79b137308ab513ae01ae20e4780a46d34d32d149e8cbd913d9527971cd5e",
+    ("sl-general", '{"n":4,"r":0}'): "f116150d22de5b434e7333c83807421ca7b5e5d5dbd536b4dfdc556889926a8c",
+    ("sl-general", '{"n":4,"r":1}'): "ccf18c00f4f1efc26644a469352a83aa37adb23ef5da942e0262825d55c0112b",
+}
+
+Z_POLYNOMIAL_DIGESTS = {
+    ("SL:2", 0): "58520547ba7946f0bbe7daf5ee924776baa80a234043df9fd53618e2fa1d87f5",
+    ("SL:2", 2): "7d82908c464506950710eef77b39c8aa966eb947142d74112b7f04a4720e22c3",
+    ("SL:3", 0): "72e03f80667584404a9e4dcd6375c21d9c52bfc6621ab0ae477ac0feafac4e1b",
+    ("SL:3", 2): "766023e2022c0277a5bc2ec416e8c2286b915e59f9b22fe67f58f255eda47c7a",
+    ("SL:4", 0): "0d2a96a456df1542d15b2798de8cc50e2e5cf2f204a70f1fdcbcecc3b787c038",
+    ("SL:4", 2): "9e0874de5c80365006d380e34003b3958ff1391be215a55e9bb752ec25a51922",
+    ("Sp:4", 0): "2c186dcdbbdc1caf7ccdde2fe58d4755c09091d4b9afe31769ce37d046ac9da7",
+    ("Sp:4", 2): "7f5fc45402cede4b1dce94bb7ab07c819d29bf1c544fbe77d3b58fd16d7a789f",
+    ("GL:2", 0): "0f7a925eb49b9d1b5798788bdf7a04b0c08b08ef4f3885419b7754d85970dce4",
+    ("GL:2", 2): "ad5c3e00340b4affd5eff6c2dbd2d542eb75a23f12832d3d0c6190745ed470d3",
+}
+
+
+@pytest.mark.parametrize("family, params", sorted(CERTIFICATE_DIGESTS))
+def test_certificate_json_is_pinned(family, params):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["certificate", "--family", family, "--params", params]) == 0
+    assert sha256(out.getvalue()) == CERTIFICATE_DIGESTS[family, params]
+
+
+# with two Weil roots the variables print in the order a1, x, a2, so the
+# printed order is not the alphabetical one
+_CURVE = CurveDatum(3, [1, 1, 3], (2,), (1, 3))
+
+
+@pytest.mark.parametrize("group, arity", sorted(Z_POLYNOMIAL_DIGESTS))
+def test_z_polynomial_text_is_pinned(group, arity):
+    kind, size = group.split(":")
+    text = str(z_polynomial(motive_of({kind: int(size)}), _CURVE, arity))
+    assert sha256(text) == Z_POLYNOMIAL_DIGESTS[group, arity]
