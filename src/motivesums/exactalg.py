@@ -6,7 +6,8 @@ order, so 1 - 2x + x^3 is IntPolynomial((1, -2, 0, 1)).  One long-division
 kernel (dense_divmod) and one product routine (dense_mul) serve every dense
 univariate caller in the package: they take the coefficient ring's operations
 as arguments, so the same loops run over the integers (with exactness
-checks), the rationals and finite fields.  root_power_transform, the step
+checks), the rationals and finite fields.  One step, shifted_rows, does every
+multiplication by y modulo a monic polynomial.  root_power_transform, the step
 behind base change of a Weil numerator, works through power sums and
 Newton's identities in integer arithmetic only.
 
@@ -94,6 +95,26 @@ def dense_mul(f, g, add, mul) -> list:
         if a:
             out[i : i + n] = map(add, out[i : i + n], map(mul, itertools.repeat(a), g))
     return out
+
+
+def shifted_rows(row, low):
+    """Yield row, y*row, y^2*row, ..., each reduced modulo the monic
+    polynomial y^d + low(y): low holds c_0 .. c_(d-1) and row holds d
+    coefficients, both in ascending exponent order.  The coefficients may
+    lie in any ring whose elements take - and * with each other and with
+    the integer 0, such as the integers or the Fractions; the modulus being
+    monic, no step divides.  Every row is a new list.
+
+    >>> list(itertools.islice(shifted_rows([1, 0], [1, 0]), 5))  # y^i mod y^2 + 1
+    [[1, 0], [0, 1], [-1, 0], [0, -1], [1, 0]]
+    """
+    row = list(row)
+    while True:
+        yield row
+        top = row[-1]
+        row = [0, *row[:-1]]
+        if top:
+            row = [a - top * c for a, c in zip(row, low)]
 
 
 def power_by_squaring(base, n: int, mul, one):
@@ -382,14 +403,7 @@ def resultant(p: IntPolynomial, q: IntPolynomial) -> int:
     if not row:
         return 0
     # the rows are y^i * r mod p~ for i = 0 .. d-1
-    row += [0] * (d - len(row))
-    rows = [row]
-    for _ in range(d - 1):
-        top = row[-1]
-        row = [0] + row[:-1]
-        if top:
-            row = [a - top * b for a, b in zip(row, low)]
-        rows.append(row)
+    rows = list(itertools.islice(shifted_rows(row + [0] * (d - len(row)), low), d))
     return _exact_int_div(_bareiss_det(rows), lc ** (e * (d - 1)))
 
 

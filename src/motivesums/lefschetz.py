@@ -26,7 +26,7 @@ from fractions import Fraction
 from typing import Iterable, Union
 
 from .exactalg import BudgetError, cyclotomic, dense_divmod, dense_mul, factorize, monic_head
-from .exactalg import power_by_squaring, remainder_sequence
+from .exactalg import power_by_squaring, remainder_sequence, shifted_rows
 
 RationalLike = Union[int, Fraction]
 
@@ -234,19 +234,14 @@ class CyclotomicRational:
 def _unit_angles(n: int) -> dict[tuple[int, ...], Fraction]:
     """Reduced integer coordinates of +-zeta_n^j for 0 <= j < n, each mapped
     to the angle a in [0, 1) with that root equal to e^(2 pi i a); the
-    coordinates of zeta^(j+1) are those of zeta^j shifted once and reduced
-    by the monic Phi_n."""
+    coordinates of zeta^j are the j-th shift of 1 modulo the monic Phi_n."""
     modulus = cyclotomic(n).coeffs
-    coords = [1] + [0] * (len(modulus) - 2)
+    powers = shifted_rows([1] + [0] * (len(modulus) - 2), modulus[:-1])
     angles: dict[tuple[int, ...], Fraction] = {}
-    for j in range(n):
+    for j, coords in zip(range(n), powers):
         angle = Fraction(j, n)
         angles[tuple(coords)] = angle
         angles.setdefault(tuple(-c for c in coords), (angle + Fraction(1, 2)) % 1)
-        top = coords[-1]
-        coords = [0] + coords[:-1]
-        if top:
-            coords = [c - top * g for c, g in zip(coords, modulus)]
     return angles
 
 

@@ -12,12 +12,13 @@ than from special cases.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 from typing import Sequence
 
 from .curves import CurveDatum, h0_det, h0_quotient_factors
-from .exactalg import IntPolynomial, SymbolicPolynomial, resultant
+from .exactalg import IntPolynomial, SymbolicPolynomial, resultant, shifted_rows
 from .lefschetz import CyclotomicRational, LefschetzFunction
 from .motives import ArtinTateMotive, motive_of, parse_group_spec
 
@@ -120,18 +121,15 @@ def symmetric_pair_eval(
         raise ValueError("conjugate pair requires a monic quadratic")
     w0, w1 = monic_quadratic.coeffs[:2]
     groups = poly.evaluate_except(pair, assignment or {})
-    # r^m = a[m] + b[m]*y, r^(m+1) = -b[m]*w0 + (a[m] - b[m]*w1)*y and
-    # s^m = (a[m] - b[m]*w1) - b[m]*y
-    a, b = [1], [0]
-    for _ in range(max((abs(j - k) for j, k in groups), default=0)):
-        am, bm = a[-1], b[-1]
-        a.append(-bm * w0)
-        b.append(am - bm * w1)
+    # r^m = a_m + b_m*y is the m-th shift of 1 modulo w, and
+    # s^m = (a_m - b_m*w1) - b_m*y
+    m_max = max((abs(j - k) for j, k in groups), default=0)
+    r_powers = list(itertools.islice(shifted_rows((1, 0), (w0, w1)), m_max + 1))
     w0_powers = {m: w0**m for m in {min(jk) for jk in groups}}
     const = ypart = 0
     for (j, k), c in groups.items():
         c *= w0_powers[min(j, k)]
-        am, bm = a[abs(j - k)], b[abs(j - k)]
+        am, bm = r_powers[abs(j - k)]
         if j < k:
             am, bm = am - bm * w1, -bm
         const += c * am

@@ -1,9 +1,13 @@
 """Brute-force ground truth over small finite fields.
 
 Everything here is exhaustive enumeration: monic polynomials are listed,
-factored by trial division against cached irreducible lists, and tallied
-into conjugacy types.  The counting formulas elsewhere in the package are
-validated against these censuses, never the other way around.
+factored by trial division against the field's irreducible lists, and
+tallied into conjugacy types.  A field keeps one list of monic irreducibles
+per degree, built on first use and never evicted; is_irreducible is the one
+irreducibility test, and it also finds the modulus of an extension field:
+the first irreducible of degree k over the prime field, in enumeration
+order.  The counting formulas elsewhere in the package are validated
+against these censuses, never the other way around.
 """
 from __future__ import annotations
 
@@ -12,12 +16,16 @@ from typing import Iterable
 
 from .classtypes import SLType, SpType, enumerate_sl_types, enumerate_sp_types
 from .exactalg import BudgetError, InexactDivision, InvariantError, dense_divmod, dense_mul, monic_head
-from .exactalg import power_by_squaring, prime_power
+from .exactalg import power_by_squaring, prime_power, shifted_rows
 
 
 class FiniteField:
     """The field with p^k elements; elements are integers 0 <= a < p^k whose
-    base-p digits are the coordinates in the power basis of the modulus."""
+    base-p digits are the coordinates in the power basis of the modulus.
+
+    The modulus is the first irreducible of degree k over the prime field in
+    enumeration order (x for k = 1).  The field keeps one list of monic
+    irreducibles per degree, built on first use and never evicted."""
 
     def __init__(self, p: int, k: int = 1):
         if prime_power(p)[1] != 1:
@@ -27,12 +35,15 @@ class FiniteField:
         self.p = p
         self.k = k
         self.q = p**k
-        self.modulus = self._first_irreducible_modulus()
-        self._reduction = self._power_reductions()
         self._mul_memo: dict[tuple[int, int], int] = {}
         self._irr_cache: dict[int, list[tuple[int, ...]]] = {}
-
-    # -- construction ------------------------------------------------------
+        prime = FiniteField(p) if k > 1 else self
+        self.modulus = next((f for f in _monic_polys(prime, k) if prime.is_irreducible(f)), None)
+        if self.modulus is None:
+            raise InvariantError("no irreducible modulus found")
+        low = self.modulus[:-1]  # the rows are the digits of x^(k+i) modulo the modulus, i = 0 .. k-2
+        rows = itertools.islice(shifted_rows([-c for c in low], low), k - 1)
+        self._reduction = [tuple(c % p for c in row) for row in rows]
 
     @classmethod
     def of_order(cls, q: int) -> "FiniteField":
@@ -41,36 +52,6 @@ class FiniteField:
         if not 2 <= q <= 2**16:
             raise ValueError(f"field size must be a prime power at most 2^16, got {q}")
         return cls(*prime_power(q))
-
-    def _first_irreducible_modulus(self) -> tuple[int, ...]:
-        if self.k == 1:
-            return (0, 1)
-        for digits in itertools.product(range(self.p), repeat=self.k):
-            candidate = digits + (1,)
-            if self._prime_field_irreducible(candidate):
-                return candidate
-        raise InvariantError("no irreducible modulus found")
-
-    def _prime_field_irreducible(self, poly: tuple[int, ...]) -> bool:
-        # trial division over Z/p by all monic polynomials of low degree
-        p = self.p
-        deg = len(poly) - 1
-        for d in range(1, deg // 2 + 1):
-            for digits in itertools.product(range(p), repeat=d):
-                if not dense_divmod(poly, digits + (1,), lambda a, b: (a - b) % p, int.__mul__, monic_head)[1]:
-                    return False
-        return True
-
-    def _power_reductions(self) -> list[tuple[int, ...]]:
-        # digits of x^(k+i) reduced modulo the modulus, i = 0 .. k-2
-        rows = []
-        current = [(-c) % self.p for c in self.modulus[:-1]]
-        for _ in range(max(0, self.k - 1)):
-            rows.append(tuple(current))
-            shifted = [0] + current[:-1]
-            head = current[-1]
-            current = [(s + head * r) % self.p for s, r in zip(shifted, rows[0])]
-        return rows
 
     # -- element arithmetic --------------------------------------------------
 
@@ -151,6 +132,22 @@ class FiniteField:
         inv = self.inv(c0)
         return tuple(self.mul(c, inv) for c in reversed(f))
 
+    # -- irreducibles --------------------------------------------------------
+
+    def irreducibles(self, d: int) -> list[tuple[int, ...]]:
+        """The monic irreducibles of degree d in enumeration order; the list
+        is built on first use and kept."""
+        found = self._irr_cache.get(d)
+        if found is None:
+            found = self._irr_cache[d] = [f for f in _monic_polys(self, d) if self.is_irreducible(f)]
+        return found
+
+    def is_irreducible(self, poly: tuple[int, ...]) -> bool:
+        """Whether a monic poly is irreducible: trial division by the monic
+        irreducibles of every degree up to half its own."""
+        halves = range(1, (len(poly) - 1) // 2 + 1)
+        return not any(self.poly_rem(poly, f) == () for e in halves for f in self.irreducibles(e))
+
 
 # ---------------------------------------------------------------------------
 # irreducibles and factorization
@@ -164,28 +161,6 @@ def _monic_polys(field: FiniteField, d: int):
         yield digits + (1,)
 
 
-def _irreducibles_up_to(field: FiniteField, d: int) -> None:
-    for e in range(1, d + 1):
-        if e in field._irr_cache:
-            continue
-        found = []
-        for cand in _monic_polys(field, e):
-            if _is_irreducible_cached(field, cand):
-                found.append(cand)
-        field._irr_cache[e] = found
-
-
-def _is_irreducible_cached(field: FiniteField, poly: tuple[int, ...]) -> bool:
-    deg = len(poly) - 1
-    if deg == 1:
-        return True
-    for e in range(1, deg // 2 + 1):
-        for p in field._irr_cache[e]:
-            if field.poly_rem(poly, p) == ():
-                return False
-    return True
-
-
 def irreducible_monics(field: FiniteField, d: int, constant: int | None = None):
     """Exhaustive list of irreducible monic polynomials of degree d,
     optionally restricted by constant term (given as an integer embedded
@@ -194,8 +169,7 @@ def irreducible_monics(field: FiniteField, d: int, constant: int | None = None):
         raise ValueError("degree must be positive")
     if field.q**d > _ENUM_BUDGET:
         raise BudgetError("enumeration over budget; use the counting formulas")
-    _irreducibles_up_to(field, d)
-    polys = field._irr_cache[d]
+    polys = field.irreducibles(d)
     if constant is None:
         return list(polys)
     target = field.embed(constant)
@@ -210,8 +184,7 @@ def factor_monic(field: FiniteField, poly: tuple[int, ...]) -> dict[tuple[int, .
     for e in range(1, deg + 1):
         if len(rest) - 1 < 2 * e:
             break
-        _irreducibles_up_to(field, e)
-        for p in field._irr_cache[e]:
+        for p in field.irreducibles(e):
             while len(rest) > len(p) - 1 and field.poly_rem(rest, p) == ():
                 out[p] = out.get(p, 0) + 1
                 rest = field.poly_div_exact(rest, p)
@@ -289,7 +262,4 @@ def self_reciprocal_irreducible_census(field: FiniteField, two_n: int) -> int:
     even degree two_n."""
     if two_n < 2 or two_n % 2:
         raise ValueError("degree must be even and at least 2")
-    n = two_n // 2
-    palindromes = _palindromes(field, n)
-    _irreducibles_up_to(field, n)
-    return sum(1 for poly in palindromes if _is_irreducible_cached(field, poly))
+    return sum(1 for poly in _palindromes(field, two_n // 2) if field.is_irreducible(poly))

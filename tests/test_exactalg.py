@@ -5,6 +5,7 @@ independent oracles implemented here: a Sylvester-matrix determinant over
 Fraction, explicit root-multiset products, and the characteristic polynomial
 of a power of the companion matrix.
 """
+import itertools
 import math
 import sys
 import threading
@@ -27,6 +28,7 @@ from motivesums.exactalg import (
     prime_power,
     resultant,
     root_power_transform,
+    shifted_rows,
     to_int_poly,
 )
 
@@ -286,6 +288,39 @@ def test_cyclotomic_product_identity(n):
         if n % d == 0:
             prod = prod * cyclotomic(d)
     assert prod.coeffs == (-1,) + (0,) * (n - 1) + (1,)
+
+
+# ---------------------------------------------------------------------------
+# shifts modulo a monic polynomial
+# ---------------------------------------------------------------------------
+
+
+@given(st.integers(1, 6), st.data())
+@settings(max_examples=150, deadline=None)
+def test_shifted_rows_are_remainders_of_long_division(d, data):
+    # row i is y^i * row mod p, taken here by IntPolynomial long division
+    low = data.draw(st.lists(st.integers(-9, 9), min_size=d, max_size=d), label="low")
+    row = data.draw(st.lists(st.integers(-9, 9), min_size=d, max_size=d), label="row")
+    p = IntPolynomial(low + [1])
+    for i, got in enumerate(itertools.islice(shifted_rows(row, low), 13)):
+        assert len(got) == d
+        assert IntPolynomial(got) == divmod(IntPolynomial([0] * i + row), p)[1]
+
+
+@given(st.integers(1, 6), st.data())
+@settings(max_examples=50, deadline=None)
+def test_shifted_rows_over_the_rationals(d, data):
+    # with Fraction coefficients throughout; reduction modulo an integer monic
+    # p is Z-linear, so row i times the common denominator D of row is the
+    # remainder of y^i * (D * row), taken in IntPolynomial
+    low = data.draw(st.lists(st.integers(-9, 9), min_size=d, max_size=d), label="low")
+    row = data.draw(st.lists(st.fractions(-9, 9, max_denominator=12), min_size=d, max_size=d), label="row")
+    den = math.lcm(*(c.denominator for c in row))
+    p = IntPolynomial(low + [1])
+    for i, got in enumerate(itertools.islice(shifted_rows(row, [Fraction(c) for c in low]), 13)):
+        assert all(type(c) in (Fraction, int) for c in got)
+        expected = divmod(IntPolynomial([0] * i + [int(c * den) for c in row]), p)[1]
+        assert IntPolynomial(c * den for c in got) == expected
 
 
 # ---------------------------------------------------------------------------

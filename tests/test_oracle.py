@@ -1,4 +1,6 @@
 """Tests for the brute-force finite-field oracles."""
+import functools
+import hashlib
 import itertools
 import math
 
@@ -14,7 +16,7 @@ from motivesums.classtypes import (
     s_count,
     table_goldens,
 )
-from motivesums.exactalg import InexactDivision, InvariantError
+from motivesums.exactalg import InexactDivision, InvariantError, dense_divmod, monic_head
 from motivesums.motives import parse_group_spec
 from motivesums.oracle import (
     BudgetError,
@@ -87,6 +89,124 @@ def test_extension_modulus_shape_and_rootlessness():
 
 
 # ---------------------------------------------------------------------------
+# field arithmetic and irreducibility against their definitions
+# ---------------------------------------------------------------------------
+
+
+def ref_digits(field, a):
+    return [a // field.p**i % field.p for i in range(field.k)]
+
+
+def ref_element(field, ds):
+    return sum(d % field.p * field.p**i for i, d in enumerate(ds))
+
+
+def ref_sub(field, a, b):
+    return ref_element(field, [x - y for x, y in zip(ref_digits(field, a), ref_digits(field, b))])
+
+
+def ref_mul(field, a, b):
+    """The product by definition: convolve the digit vectors, then reduce
+    modulo field.modulus by long division in plain integers mod p."""
+    k, p = field.k, field.p
+    conv = [0] * (2 * k - 1)
+    for i, x in enumerate(ref_digits(field, a)):
+        for j, y in enumerate(ref_digits(field, b)):
+            conv[i + j] += x * y
+    for top in range(2 * k - 2, k - 1, -1):
+        head = conv[top] % p
+        for i, m in enumerate(field.modulus):
+            conv[top - k + i] -= head * m
+    return ref_element(field, conv[:k])
+
+
+def trial_division_irreducible(field, poly):
+    """Irreducibility by its definition: no monic factor of degree
+    1 .. deg/2, found by trial division by every monic polynomial in the
+    arithmetic defined above."""
+    sub, mul = functools.partial(ref_sub, field), functools.partial(ref_mul, field)
+    for d in range(1, (len(poly) - 1) // 2 + 1):
+        for g in monics(field.q, d):
+            if not dense_divmod(poly, g, sub, mul, monic_head)[1]:
+                return False
+    return True
+
+
+def monics(q, d):
+    return [digits + (1,) for digits in itertools.product(range(q), repeat=d)]
+
+
+FIELDS_BY_ORDER = {q: FiniteField.of_order(q) for q in (4, 8, 9, 16, 25, 27, 49, 121)}
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data())
+def test_field_arithmetic_matches_its_definition(data):
+    field = FIELDS_BY_ORDER[data.draw(st.sampled_from(sorted(FIELDS_BY_ORDER)), label="q")]
+    element = st.integers(0, field.q - 1)
+    a, b, c = data.draw(element, label="a"), data.draw(element, label="b"), data.draw(element, label="c")
+    assert field.mul(a, b) == ref_mul(field, a, b)
+    assert field.sub(a, b) == ref_sub(field, a, b)
+    assert field.mul(a, field.add(b, c)) == field.add(field.mul(a, b), field.mul(a, c))
+    assert field.mul(field.mul(a, b), c) == field.mul(a, field.mul(b, c))
+    assert field.power(a, field.q) == a
+
+
+@pytest.mark.parametrize("q, top", [(2, 5), (3, 5), (4, 3), (5, 3)])
+def test_is_irreducible_matches_trial_division_by_every_monic(q, top):
+    field = FiniteField.of_order(q)  # a fresh field: the calls below build its lists
+    for d in range(1, top + 1):
+        expected = [f for f in monics(q, d) if trial_division_irreducible(field, f)]
+        assert [f for f in monics(q, d) if field.is_irreducible(f)] == expected
+        assert field.irreducibles(d) == expected
+
+
+PRIME_POWERS = [(p, k) for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31) for k in range(2, 11) if p**k <= 1024]
+
+
+def test_modulus_is_the_first_irreducible_in_enumeration_order():
+    for p, k in PRIME_POWERS:
+        first = next(f for f in monics(p, k) if trial_division_irreducible(FiniteField(p), f))
+        assert FiniteField(p, k).modulus == first, (p, k)
+
+
+def test_missing_modulus_is_an_invariant_error(monkeypatch):
+    monkeypatch.setattr(oracle, "_monic_polys", lambda field, d: iter(()))
+    with pytest.raises(InvariantError, match="no irreducible modulus found"):
+        FiniteField(2, 3)
+
+
+# The element encoding rests on the modulus, and census keys on the
+# irreducible lists; both digests were taken before the field found its
+# modulus through its own irreducibility test.
+MODULUS_DIGEST = "6d86e403968d5d2e1900995be0d2ff1779fb7160eaf2682eeacd709338bf2c5c"
+IRREDUCIBLE_DIGESTS = {
+    4: "b094d2d5e46b3dd30b84298d660381c614edbd80403f1873ad57d6f43ccefc45",
+    8: "4f89b8b72258667b2caa084bab2a20ca33e5f99ce64b37daa78f3cd782f2cf09",
+    9: "d5874afd2ea31aabd2f937d1074a2216f7bfafeefe598f1f8f43ad9be4dca7a5",
+    16: "56b79100867600af49759a55a5fbd1c401129737673b4a4c8cf384245244e6b2",
+    25: "62947c06dfe0133d6c173bd1cdc94c88174c9c13fae99657784fbbd04c1ede33",
+    27: "117d61c6e0096dd6681a80a99546adf67aff5e4e9dcfa88a1afe02c7e55605d2",
+}
+
+
+def sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_extension_moduli_are_pinned():
+    assert len(PRIME_POWERS) == 26
+    text = "".join(f"{p} {k} {FiniteField(p, k).modulus}\n" for p, k in PRIME_POWERS)
+    assert sha256(text) == MODULUS_DIGEST
+
+
+@pytest.mark.parametrize("q", sorted(IRREDUCIBLE_DIGESTS))
+def test_irreducible_lists_are_pinned(q):
+    field = FiniteField.of_order(q)
+    assert sha256(repr([irreducible_monics(field, d) for d in (1, 2)])) == IRREDUCIBLE_DIGESTS[q]
+
+
+# ---------------------------------------------------------------------------
 # irreducibles
 # ---------------------------------------------------------------------------
 
@@ -97,8 +217,11 @@ def test_irreducible_monics_examples():
     assert irreducible_monics(F2, 1) == [(0, 1), (1, 1)]
 
 
-@pytest.mark.parametrize("field", [F2, F3], ids=lambda f: f"q{f.q}")
-@pytest.mark.parametrize("big_d", [1, 2, 3, 4, 5, 6])
+# at most 5,000 candidates of degree big_d each, to keep the suite quick
+GAUSS_CASES = [(f, d) for f in (F2, F3, F4, F9) for d in range(1, 7) if f.q**d <= 5000]
+
+
+@pytest.mark.parametrize("field, big_d", GAUSS_CASES, ids=[f"{d}-q{f.q}" for f, d in GAUSS_CASES])
 def test_gauss_degree_identity(field, big_d):
     total = sum(
         d * len(irreducible_monics(field, d)) for d in range(1, big_d + 1) if big_d % d == 0

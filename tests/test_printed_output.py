@@ -1,7 +1,9 @@
-"""Printed output pinned by sha256: certificate JSON as the CLI writes it and
-the text of z-polynomials.  The digests were taken before the printer and the
-certificate writer worked from packed monomials, so any change to the bytes
-a user sees fails here."""
+"""Printed output pinned by sha256: certificate JSON as the CLI writes it,
+the text of z-polynomials and census CSV.  The certificate and z-polynomial
+digests were taken before the printer and the certificate writer worked from
+packed monomials, the census digests before a finite field found its modulus
+through its own irreducibility test, so any change to the bytes a user sees
+fails here."""
 import contextlib
 import hashlib
 import io
@@ -63,6 +65,45 @@ Z_POLYNOMIAL_DIGESTS = {
     ("GL:2", 2): "ad5c3e00340b4affd5eff6c2dbd2d542eb75a23f12832d3d0c6190745ed470d3",
 }
 
+# every group and q in {2, 3, 4, 5, 7, 8, 9, 16, 25, 27} whose census lists at
+# most 300 polynomials
+CENSUS_DIGESTS = {
+    ("SL:2", 2): "882ca245e7ca6913b4dc5abb83a0b0706ab22a77e276fa386dcbf3db08f8e9e7",
+    ("SL:2", 3): "605a844a773a67b234965a88a1406f025ef25ac8b3eabcd392248e3f7c44c5d1",
+    ("SL:2", 4): "c99daf4e4db5f6b699d3cd002f4211dadb7d4e715640e2c23cfe1dbf6abec1e1",
+    ("SL:2", 5): "dfa4fd1292709e038729f02afa2a5d8e8c2c081de17023ffe2dbf453febd0383",
+    ("SL:2", 7): "e249296fec8b5951a9702c07f35b30c921ed6a2ec7c9568f3976dadb7e9fc04d",
+    ("SL:2", 8): "0971eb8a3f515244ba9c79745d04e453b25d72a40af05b7bd583fc3ed397a055",
+    ("SL:2", 9): "211b336117a09719053cbb80af8415c37cd3810626b2365fcde866ca8b3dad54",
+    ("SL:2", 16): "66ba3428c47768672e151a06739dd65b38c55d7c05920e01617a64e91b287289",
+    ("SL:2", 25): "8aa502fc1c1fdf71fb153df8a34e52ebd29d29ce464e380216cfd8ec32eb491a",
+    ("SL:2", 27): "7056264bc4804f8e7e461378bfb9989edc21f62d4b4acf1fa63ec83957e692e0",
+    ("SL:3", 2): "2dde49117915876717f01f89390f989f0edd638b12acc9600ab4dffd22f89b3c",
+    ("SL:3", 3): "595e7c7fcff7c9074ec24b118434ee129b9ab6f4e3fc6933fb6c302db4281ed6",
+    ("SL:3", 4): "c083474a6fab8e66e3b80f6e7d80123bd9bda89417d6634b304a50416a034c86",
+    ("SL:3", 5): "b2844bfb5223cd6e1e0a2f23b81b036795bc32666d13461f0e509e7b6b4fb197",
+    ("SL:3", 7): "cd7d65b58db3d2b23b79e59816b1542710409ec1071fdb879dad13b9ba944511",
+    ("SL:3", 8): "71ac7860d4c74b04908e7ae8b66666f27e18d1e19341032487c3f93f36f003fe",
+    ("SL:3", 9): "dbc0c71c5c2d0646b6dae6d19298380ab5c21e2a0c07ec983349571583658c89",
+    ("SL:3", 16): "dfed6c4d09c03e160c7e7f520bcaf7eda3260ed1fd46694342a27638963c8fe1",
+    ("SL:4", 2): "df814fa58e60d306c7969705680e9340cb6099e13ab62bc0ab46ee6f05021f0e",
+    ("SL:4", 3): "78cab93e7cd4dd3f45a05e567c172c24b5120d70a6b924ca6dcd7ce25b8bba6a",
+    ("SL:4", 4): "52c09947c18018da4929a9ab1a602405447ab310b8ba17a4b355d8beecb9633d",
+    ("SL:4", 5): "18f6e1c67352122536145c22de0086410db1f8f512b96778107adc046717465c",
+    ("Sp:4", 2): "f44f948321f8dac5e3a5bcfb181b0a1fb464ffb89d7e33ea7e1eab78c00c9098",
+    ("Sp:4", 3): "39f50ba34937d08ff42dcc3651adc982f62a2bf1e9c34275c17e5206712b94cb",
+    ("Sp:4", 4): "b33aa4a498f1887430483d62642a7b8cc35061c0f84a5a9ad4ed5da24e53d505",
+    ("Sp:4", 5): "4557680551c1db5a8125b4bbdcb99af42753f1d2fcfc8b7bc9de39098301e6a6",
+    ("Sp:4", 7): "58d1eab897c95e76d6d8f23914a6497f3e711c48b6c5073268c7c07993242e22",
+    ("Sp:4", 8): "74c5a9ae290833c220cc61e2869ea0130547d4b9244ee4f453914a4c6c6eb431",
+    ("Sp:4", 9): "a7c39c04a44c982fe96398529f5040b020bbf363560b6f3c61a9189c55d1dee3",
+    ("Sp:4", 16): "a10222645ef620f9ea258bbdce2a3e0b9f89f2ab0c09a513d846b03f76fd1ca1",
+    ("Sp:6", 2): "b1c496b33b742fd9072cab600f848b1eea48c77acc2a9678aa4f5398234c051e",
+    ("Sp:6", 3): "e2601ca8fab9a1ac857d5acc2b1a0cf71dcc1098476548180f0e1a25e07f30d8",
+    ("Sp:6", 4): "483c688b72f5cc89bcd3733d8274641644b4ad17449e2fb426447858b5fb80ac",
+    ("Sp:6", 5): "c02d484c275784f550c2208d85ef55c8ac2111c9c8d8203466259beb13f76e64",
+}
+
 
 @pytest.mark.parametrize("family, params", sorted(CERTIFICATE_DIGESTS))
 def test_certificate_json_is_pinned(family, params):
@@ -82,3 +123,11 @@ def test_z_polynomial_text_is_pinned(group, arity):
     kind, size = group.split(":")
     text = str(z_polynomial(motive_of({kind: int(size)}), _CURVE, arity))
     assert sha256(text) == Z_POLYNOMIAL_DIGESTS[group, arity]
+
+
+@pytest.mark.parametrize("group, q", sorted(CENSUS_DIGESTS))
+def test_census_csv_is_pinned(group, q):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["census", "--group", group, "--q", str(q)]) == 0
+    assert sha256(out.getvalue()) == CENSUS_DIGESTS[group, q]
