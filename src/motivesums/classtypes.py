@@ -15,7 +15,7 @@ import math
 from fractions import Fraction
 from typing import Iterable
 
-from .exactalg import InexactDivision, SymbolicPolynomial, factorize
+from .exactalg import SymbolicPolynomial, exact_quotient, factorize
 from .motives import ArtinTateMotive, motive_of
 
 
@@ -88,9 +88,9 @@ def count_sl(n: int, d: int, q: int) -> int:
     total = 0
     for e in divisors(d):
         total += moebius(d // e) * math.gcd(n // e, q - 1) * (q**e - 1) // (q - 1)
-    quot, rem = divmod(total, d)
-    if rem or quot < 0:
-        raise ArithmeticError("class count must be a nonnegative integer")
+    quot = exact_quotient(total, d)
+    if quot < 0:
+        raise ArithmeticError(f"class count {quot} is negative")
     return quot
 
 
@@ -176,18 +176,12 @@ def s_count(two_n: int, q: int) -> int:
         raise ValueError("degree must be even and at least 2")
     n = two_n // 2
     total = sum(moebius(d) * (q ** (n // d) - q % 2) for d in divisors(n) if d % 2)
-    num, rem = divmod(total, 2 * n)
-    if rem:
-        raise ArithmeticError("self-reciprocal count must be an integer")
-    return num
+    return exact_quotient(total, 2 * n)
 
 
 def irreducible_count(e: int, q: int) -> int:
     total = sum(moebius(d) * q ** (e // d) for d in divisors(e))
-    quot, rem = divmod(total, e)
-    if rem:
-        raise InexactDivision("irreducible count must be an integer")
-    return quot
+    return exact_quotient(total, e)
 
 
 def _reciprocal_pair_count(e: int, q: int) -> int:
@@ -200,10 +194,7 @@ def _reciprocal_pair_count(e: int, q: int) -> int:
         self_rec = s_count(e, q)
     else:
         self_rec = 0
-    pairs, rem = divmod(irr - self_rec, 2)
-    if rem:
-        raise InexactDivision("reciprocal pairs must pair up")
-    return pairs
+    return exact_quotient(irr - self_rec, 2)
 
 
 def count_sp(t: SpType, q: int) -> int:
@@ -225,9 +216,9 @@ def count_sp(t: SpType, q: int) -> int:
             num *= math.perm(counter(d), len(bs))
             for mult in set(bs):
                 den *= math.factorial(bs.count(mult))
-    value, rem = divmod(num, den)
-    if rem or value < 0:
-        raise ArithmeticError(f"class count {Fraction(num, den)} is not a nonnegative integer")
+    value = exact_quotient(num, den)
+    if value < 0:
+        raise ArithmeticError(f"class count {value} is negative")
     return value
 
 

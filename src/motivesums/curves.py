@@ -72,10 +72,9 @@ class CurveDatum:
             raise ValueError("extension degree must be positive")
         if m == 1:
             return self
-        w_m = root_power_transform(self.weil_reciprocal(), m)
         return CurveDatum(
             q=self.q**m,
-            weil_numerator=w_m.reversed_coeffs(),
+            weil_numerator=charpoly_of_power(self.weil_numerator, m),
             s_degrees=_split_places(self.s_degrees, m),
             t_degrees=_split_places(self.t_degrees, m),
         )
@@ -94,9 +93,7 @@ def charpoly_of_power(c: IntPolynomial, e: int) -> IntPolynomial:
     with constant term 1 whose inverse roots are l_i^e."""
     if e == 1:
         return c
-    monic = c.reversed_coeffs()
-    powered = root_power_transform(monic, e)
-    out = powered.reversed_coeffs()
+    out = root_power_transform(c.reversed_coeffs(), e).reversed_coeffs()
     if out.coeffs[0] != 1:
         raise ArithmeticError("powered characteristic polynomial lost its normalization")
     return out

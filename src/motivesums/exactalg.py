@@ -9,7 +9,8 @@ as arguments, so the same loops run over the integers (with exactness
 checks), the rationals and finite fields.  One step, shifted_rows, does every
 multiplication by y modulo a monic polynomial.  root_power_transform, the step
 behind base change of a Weil numerator, works through power sums and
-Newton's identities in integer arithmetic only.
+Newton's identities in integer arithmetic only.  exact_quotient is the one
+exact integer division of this module and of the class counts.
 
 Multivariate polynomials are sparse: a tuple of variable names plus a map from
 packed monomials to nonzero integer coefficients.  A packed monomial is one
@@ -130,7 +131,8 @@ def power_by_squaring(base, n: int, mul, one):
     return result
 
 
-def _exact_int_div(a: int, b: int) -> int:
+def exact_quotient(a: int, b: int) -> int:
+    """a / b for integers that b divides; else InexactDivision names both."""
     q, r = divmod(a, b)
     if r:
         raise InexactDivision(f"{a} not divisible by {b}")
@@ -275,7 +277,7 @@ class IntPolynomial:
         leading coefficient fails to divide."""
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
-        quo, rem = dense_divmod(self.coeffs, other.coeffs, operator.sub, operator.mul, _exact_int_div)
+        quo, rem = dense_divmod(self.coeffs, other.coeffs, operator.sub, operator.mul, exact_quotient)
         return IntPolynomial(quo), IntPolynomial(rem)
 
     def __truediv__(self, other: "IntPolynomial") -> "IntPolynomial":
@@ -310,17 +312,23 @@ class IntPolynomial:
         return IntPolynomial(tuple(reversed(self.coeffs)))
 
     def __str__(self) -> str:
-        return format_univariate(self.coeffs, "x")
+        exps = [i for i, c in enumerate(self.coeffs) if c]
+        return _format_terms(("x",), [self.coeffs[i] for i in exps], [exps])
 
 
-def format_univariate(coeffs, var: str) -> str:
-    terms = []
-    for i, c in enumerate(coeffs):
-        if c:
-            mag = abs(c)
-            vp = var if i == 1 else f"{var}^{i}"
-            terms.append((c, str(mag) if i == 0 else vp if mag == 1 else f"{mag}*{vp}"))
-    return _signed_sum(terms)
+def _format_terms(names: Sequence[str], coeffs: Sequence[int], columns: Sequence[Sequence[int]]) -> str:
+    """Terms from their coefficients and the exponent columns of names, in the
+    given order, printed as in "2 - x + 3*x^2*y"."""
+    # each term's factors, each written with a leading "*"
+    factors = []
+    for v, col in zip(names, columns):
+        powers = {e: f"*{v}" if e == 1 else f"*{v}^{e}" for e in set(col)}
+        powers[0] = ""
+        factors.append(map(powers.__getitem__, col))
+    bodies = map("".join, zip(*factors)) if factors else itertools.repeat("")
+    return _signed_sum(
+        (c, body[1:] if abs(c) == 1 and body else f"{abs(c)}{body}") for c, body in zip(coeffs, bodies)
+    )
 
 
 def _signed_sum(terms: Iterable[tuple[int, str]]) -> str:
@@ -404,7 +412,7 @@ def resultant(p: IntPolynomial, q: IntPolynomial) -> int:
         return 0
     # the rows are y^i * r mod p~ for i = 0 .. d-1
     rows = list(itertools.islice(shifted_rows(row + [0] * (d - len(row)), low), d))
-    return _exact_int_div(_bareiss_det(rows), lc ** (e * (d - 1)))
+    return exact_quotient(_bareiss_det(rows), lc ** (e * (d - 1)))
 
 
 def _bareiss_det(rows: list[list[int]]) -> int:
@@ -434,7 +442,7 @@ def root_power_transform(w: IntPolynomial, m: int) -> IntPolynomial:
     p_1 .. p_(md) of its roots.  The power sums of the m-th powers are
     P_k = p_(mk), and Newton's identities run backwards turn P_1 .. P_d into
     the coefficients.  Everything is integer arithmetic; the backward step
-    divides by k, and a nonzero remainder raises InexactDivision.
+    divides by k through exact_quotient.
     """
     if m < 1:
         raise ValueError("power must be positive")
@@ -454,10 +462,7 @@ def root_power_transform(w: IntPolynomial, m: int) -> IntPolynomial:
         p.append(-s - k * a[k] if k <= d else -s)
     b = [1]
     for k in range(1, d + 1):
-        c, r = divmod(-sum(p[m * i] * b[k - i] for i in range(1, k + 1)), k)
-        if r:
-            raise InexactDivision(f"Newton identity step {k} is not divisible by {k}")
-        b.append(c)
+        b.append(exact_quotient(-sum(p[m * i] * b[k - i] for i in range(1, k + 1)), k))
     return IntPolynomial(b[::-1])
 
 
@@ -869,10 +874,7 @@ class SymbolicPolynomial:
                     if e & lguards != lguards:
                         raise InexactDivision("monomial does not divide a dividend term")
                     e ^= lguards
-                q, r = divmod(c, lc)
-                if r:
-                    raise InexactDivision(f"{c} not divisible by {lc}")
-                qrow[e] = q
+                qrow[e] = exact_quotient(c, lc)
             shift = rdeg - ddeg
             quo_rows.append((shift, qrow))
             for d, drow in lower:
@@ -939,17 +941,7 @@ class SymbolicPolynomial:
         return [coeffs[i] for i in order], [[col[i] for i in order] for col in columns]
 
     def __str__(self) -> str:
-        coeffs, columns = self.sorted_columns(graded=True)
-        # each term's factors, each written with a leading "*"
-        factors = []
-        for v, col in zip(self.vars, columns):
-            powers = {e: f"*{v}" if e == 1 else f"*{v}^{e}" for e in set(col)}
-            powers[0] = ""
-            factors.append(map(powers.__getitem__, col))
-        bodies = map("".join, zip(*factors)) if factors else itertools.repeat("")
-        return _signed_sum(
-            (c, body[1:] if abs(c) == 1 and body else f"{abs(c)}{body}") for c, body in zip(coeffs, bodies)
-        )
+        return _format_terms(self.vars, *self.sorted_columns(graded=True))
 
     def __repr__(self) -> str:
         return f"SymbolicPolynomial('{self}')"

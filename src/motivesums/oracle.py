@@ -12,11 +12,12 @@ against these censuses, never the other way around.
 from __future__ import annotations
 
 import itertools
+import operator
 from typing import Iterable
 
 from .classtypes import SLType, SpType, enumerate_sl_types, enumerate_sp_types
 from .exactalg import BudgetError, InexactDivision, InvariantError, dense_divmod, dense_mul, monic_head
-from .exactalg import power_by_squaring, prime_power, shifted_rows
+from .exactalg import power_by_squaring, prime_power
 
 
 class FiniteField:
@@ -25,7 +26,9 @@ class FiniteField:
 
     The modulus is the first irreducible of degree k over the prime field in
     enumeration order (x for k = 1).  The field keeps one list of monic
-    irreducibles per degree, built on first use and never evicted."""
+    irreducibles per degree, built on first use and never evicted.  mul is
+    dense_mul of the digit lists and dense_divmod by the monic modulus, both
+    over Z, then the remainder's digits mod p; products are memoized."""
 
     def __init__(self, p: int, k: int = 1):
         if prime_power(p)[1] != 1:
@@ -41,9 +44,6 @@ class FiniteField:
         self.modulus = next((f for f in _monic_polys(prime, k) if prime.is_irreducible(f)), None)
         if self.modulus is None:
             raise InvariantError("no irreducible modulus found")
-        low = self.modulus[:-1]  # the rows are the digits of x^(k+i) modulo the modulus, i = 0 .. k-2
-        rows = itertools.islice(shifted_rows([-c for c in low], low), k - 1)
-        self._reduction = [tuple(c % p for c in row) for row in rows]
 
     @classmethod
     def of_order(cls, q: int) -> "FiniteField":
@@ -85,19 +85,9 @@ class FiniteField:
         cached = self._mul_memo.get(key)
         if cached is not None:
             return cached
-        da, db = self.digits(a), self.digits(b)
-        conv = [0] * (2 * self.k - 1)
-        for i, x in enumerate(da):
-            if x:
-                for j, y in enumerate(db):
-                    conv[i + j] += x * y
-        result = conv[: self.k]
-        for i, row in enumerate(self._reduction):
-            excess = conv[self.k + i] if self.k + i < len(conv) else 0
-            if excess:
-                result = [(r + excess * c) for r, c in zip(result, row)]
-        value = self._from_digits(result)
-        self._mul_memo[key] = value
+        conv = dense_mul(self.digits(a), self.digits(b), operator.add, operator.mul)
+        rem = dense_divmod(conv, self.modulus, operator.sub, operator.mul, monic_head)[1]
+        value = self._mul_memo[key] = self._from_digits(rem)
         return value
 
     def power(self, a: int, e: int) -> int:

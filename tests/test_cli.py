@@ -1,7 +1,9 @@
 """Tests for the command-line interface."""
 import contextlib
+import hashlib
 import io
 import json
+import re
 import subprocess
 import sys
 import time
@@ -138,6 +140,33 @@ def test_verify_tables_suite():
     lines = proc.stdout.strip().splitlines()
     assert all(line.endswith(": PASS") for line in lines[:-1])
     assert lines[-1].endswith("passed, 0 failed")
+    # the stdout is deterministic: labels, verdicts and their order are pinned
+    assert hashlib.sha256(proc.stdout.encode()).hexdigest() == VERIFY_TABLES_DIGEST
+
+
+VERIFY_TABLES_DIGEST = "a01b083d6a03acf10eb533aa123ebd42f54d49d650a1ad3cf1b3f5b59ead3252"
+
+
+def test_exact_output_past_the_integer_string_limit():
+    # CPython refuses to print an int of more than 4,300 digits unless the
+    # limit is lifted; the CLI's output is exact, so it lifts it
+    curve = '{"q": 65536, "weil_numerator": [1], "s_degrees": [1, 1], "t_degrees": [1]}'
+    runs = [
+        ["lfun", curve, '{"SL": 45}'],
+        ["lefschetz", "--op", "fN", "--f", "base:1000", "--n", "1", "--m-max", "1500"],
+    ]
+    lfun, lefschetz = (
+        subprocess.run([sys.executable, "-m", "motivesums", *argv], capture_output=True, text=True, timeout=120)
+        for argv in runs
+    )
+    assert (lfun.returncode, lfun.stderr) == (0, "")
+    # one exact rational, a/b with the denominator omitted when it is 1
+    (value,) = lfun.stdout.splitlines()
+    assert re.fullmatch(r"-?[0-9]{4301,}(/[0-9]+)?", value)
+    assert (lefschetz.returncode, lefschetz.stderr) == (0, "")
+    lines = lefschetz.stdout.splitlines()
+    assert len(lines) == 1501
+    assert re.fullmatch(r"1500,-?[0-9]{4301,}(/[0-9]+)?", lines[-1])
 
 
 def test_malformed_json_exits_2(capsys):

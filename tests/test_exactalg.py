@@ -23,6 +23,7 @@ from motivesums.exactalg import (
     IntPolynomial,
     SymbolicPolynomial,
     cyclotomic,
+    exact_quotient,
     factorize,
     poly_gcd,
     prime_power,
@@ -144,6 +145,25 @@ def test_int_poly_arithmetic():
     assert (p**3).coeffs == (1, 3, 3, 1)
     assert (p - p).is_zero()
     assert (2 * p + 1).coeffs == (3, 2)
+
+
+@given(st.integers(-(2**70), 2**70), st.integers(-(2**40), 2**40).filter(bool))
+@settings(max_examples=200, deadline=None)
+def test_exact_quotient_of_a_planted_product(quo, b):
+    assert exact_quotient(quo * b, b) == quo
+    if abs(b) > 1:
+        with pytest.raises(InexactDivision):
+            exact_quotient(quo * b + 1, b)
+
+
+def test_exact_quotient_signs_and_message():
+    assert [exact_quotient(a, b) for a, b in ((-12, 4), (12, -4), (-12, -4), (0, -7))] == [-3, -3, 3, 0]
+    assert issubclass(InexactDivision, ArithmeticError)
+    # floor division would give -4 and -3 here; both must raise
+    for a, b in ((-7, 2), (7, -2), (-7, -2)):
+        with pytest.raises(InexactDivision) as exc:
+            exact_quotient(a, b)
+        assert str(exc.value) == f"{a} not divisible by {b}"
 
 
 def test_int_poly_divmod_exact():
@@ -854,3 +874,23 @@ def test_printer_orders_by_degree_before_variable_order():
     assert str(p) == f"{_PRINT_POOL[1]} + {_PRINT_POOL[0]}^2 + {_PRINT_POOL[1]}^2"
     big = b**_TOP - 3 * a
     assert str(big) == reference_str(big) == f"-3*{_PRINT_POOL[0]} + {_PRINT_POOL[1]}^{_TOP}"
+
+
+def reference_int_str(p: IntPolynomial) -> str:
+    """The dense printer that IntPolynomial used before it shared the sparse
+    one: ascending powers of x, a unit coefficient left out off the constant."""
+    terms = []
+    for i, c in enumerate(p.coeffs):
+        if c:
+            mag = abs(c)
+            vp = "x" if i == 1 else f"x^{i}"
+            terms.append((c, str(mag) if i == 0 else vp if mag == 1 else f"{mag}*{vp}"))
+    return exactalg._signed_sum(terms)
+
+
+# degrees past 2^15, where SymbolicPolynomial's exponent fields end
+@given(st.lists(_coefficients, max_size=12), st.lists(st.integers(0, 2**16), max_size=3))
+@settings(max_examples=300, deadline=None)
+def test_int_polynomial_printer_matches_the_dense_printer(coeffs, gaps):
+    p = IntPolynomial(coeffs + [c for g in gaps for c in [0] * g + [g - 7]])
+    assert str(p) == reference_int_str(p)

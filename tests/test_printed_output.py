@@ -1,12 +1,16 @@
 """Printed output pinned by sha256: certificate JSON as the CLI writes it,
-the text of z-polynomials and census CSV.  The certificate and z-polynomial
-digests were taken before the printer and the certificate writer worked from
-packed monomials, the census digests before a finite field found its modulus
-through its own irreducibility test, so any change to the bytes a user sees
-fails here."""
+the text of z-polynomials, census CSV, and L-values and class sums over a
+grid of curves and groups.  The certificate and z-polynomial digests were
+taken before the printer and the certificate writer worked from packed
+monomials, the census digests before a finite field found its modulus
+through its own irreducibility test, and the L-value and class-sum digests
+before every exact integer division went through exact_quotient and finite
+field products through the dense kernels, so any change to the bytes a
+user sees fails here."""
 import contextlib
 import hashlib
 import io
+import json
 
 import pytest
 
@@ -131,3 +135,50 @@ def test_census_csv_is_pinned(group, q):
     with contextlib.redirect_stdout(out):
         assert main(["census", "--group", group, "--q", str(q)]) == 0
     assert sha256(out.getvalue()) == CENSUS_DIGESTS[group, q]
+
+
+# genus 0, 1 and 2; the genus-2 numerator meets the Weil bound over q = 2
+GRID_CURVES = {
+    "genus0": {"q": 3, "weil_numerator": [1], "s_degrees": [1, 1]},
+    "genus1": {"q": 3, "weil_numerator": [1, 1, 3], "s_degrees": [1, 2]},
+    "genus2": {"q": 2, "weil_numerator": [1, 1, 2, 2, 4], "s_degrees": [1, 1]},
+}
+LFUN_GRID_DIGESTS = {
+    "genus0": "d4a45409ff2bef571bd629d38c962ccbcbad38f44411e82ff3838e4b750d0b2b",
+    "genus1": "e07586679a70c8f41a7d34c5ee006dc2ecf48d4e64a6cd7eae79e2970fea1435",
+    "genus2": "772a936ea19a25dfd4ca9f9de4355de3ed971a99171dee694356613e87d5a6bb",
+}
+CLASS_SUM_GRID_DIGESTS = {
+    "genus0": "3c85d3c255d9a50d4b715a834540cb72ba9d0b7003d92a4df3b0315a7d0ea9c5",
+    "genus1": "c9afa34d8128531692e0f757ca8704b2b23c876e109f17ab4410f14d09102cd8",
+    "genus2": "e7e5bb5bb60aa28cd3d5a56430a02505650bbb76c40b33e014eef238c3fb46b2",
+}
+
+
+def grid_output(runs) -> str:
+    """Each argument list followed by what main prints for it."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        for argv in runs:
+            print(*argv)
+            assert main(argv) == 0
+    return out.getvalue()
+
+
+@pytest.mark.parametrize("curve", sorted(GRID_CURVES))
+def test_l_value_grid_is_pinned(curve):
+    # without and with a twisting place of degree 1
+    curves = [json.dumps(dict(GRID_CURVES[curve], t_degrees=t)) for t in ([], [1])]
+    groups = [json.dumps(g) for g in ({"SL": 2}, {"SL": 3}, {"SL": 4}, {"Sp": 4}, {"GL": 2}, {"U": 2})]
+    text = grid_output(["lfun", c, g] for c in curves for g in groups)
+    assert sha256(text) == LFUN_GRID_DIGESTS[curve]
+
+
+@pytest.mark.parametrize("curve", sorted(GRID_CURVES))
+def test_class_sum_grid_is_pinned(curve):
+    runs = (
+        ["class-sum", json.dumps(GRID_CURVES[curve]), "--group", g, "--base-change", str(m)]
+        for g in ("SL:2", "SL:3", "SL:4", "Sp:4")
+        for m in (1, 2, 3)
+    )
+    assert sha256(grid_output(runs)) == CLASS_SUM_GRID_DIGESTS[curve]
