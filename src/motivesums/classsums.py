@@ -18,7 +18,6 @@ from __future__ import annotations
 import dataclasses
 import functools
 import math
-import operator
 from fractions import Fraction
 from typing import Callable, Sequence
 
@@ -41,9 +40,9 @@ from .exactalg import (
     IntPolynomial,
     SymbolicPolynomial,
     check_degree,
-    dense_mul,
     factorize,
     poly_gcd,
+    rational_solution,
     to_int_poly,
 )
 from .lseries import evaluate_with_weil_roots, j_variable_names, l_value
@@ -239,10 +238,8 @@ def sl_prime_certificate(l: int, r: int) -> SymbolicCertificate:
     h_inert = h_polynomial(l, l, names)
     divisor = SymbolicPolynomial.from_int_poly(IntPolynomial([1] * l), "x")
     checks: list[Check] = []
-    try:
-        quo, rem = (h_split - h_inert).divrem(divisor, "x")
-    except InexactDivision as exc:  # pragma: no cover - division steps stay integral
-        _require(checks, "geometric-factor-division", False, str(exc))
+    # the divisor is monic, so no division step can be inexact
+    quo, rem = (h_split - h_inert).divrem(divisor, "x")
     _require(checks, "geometric-factor-division", rem.is_zero(), str(rem))
     generic = quo + h_inert
     split = l * quo + h_inert
@@ -415,27 +412,15 @@ _COUNT_DEGREE = 4
 
 @functools.cache
 def _count_polynomial(fn: Callable[[int], Fraction]):
-    """Interpolate a polynomial count function exactly; returns an integer
-    numerator polynomial and a positive integer denominator."""
-    points = list(range(_COUNT_DEGREE + 1))
-    coeffs = [Fraction(0)] * (_COUNT_DEGREE + 1)
-    for i, xi in enumerate(points):
-        basis = [Fraction(1)]
-        denom = Fraction(1)
-        for j, xj in enumerate(points):
-            if j == i:
-                continue
-            basis = dense_mul(basis, (-xj, 1), operator.add, operator.mul)
-            denom *= xi - xj
-        w = Fraction(fn(xi)) / denom
-        for d_idx, b in enumerate(basis):
-            coeffs[d_idx] += w * b
+    """Interpolate a polynomial count function exactly, as one linear system
+    through the points 0.._COUNT_DEGREE and two check points; returns an
+    integer numerator polynomial and a positive integer denominator."""
+    points = [*range(_COUNT_DEGREE + 1), _COUNT_DEGREE + 3, _COUNT_DEGREE + 7]
+    coeffs = rational_solution([x**d for d in range(_COUNT_DEGREE + 1)] + [fn(x)] for x in points)
+    if coeffs is None:
+        raise ArithmeticError("count is not polynomial of the expected degree")
     lcm = math.lcm(*(c.denominator for c in coeffs))
-    num = IntPolynomial(int(c * lcm) for c in coeffs)
-    for extra in (_COUNT_DEGREE + 3, _COUNT_DEGREE + 7):
-        if Fraction(num.evaluate(extra), lcm) != Fraction(fn(extra)):
-            raise ArithmeticError("count is not polynomial of the expected degree")
-    return num, lcm
+    return IntPolynomial(int(c * lcm) for c in coeffs), lcm
 
 
 @functools.cache

@@ -58,10 +58,6 @@ class SLType:
             raise ValueError("pairs must be positive (degree, multiplicity) tuples")
         object.__setattr__(self, "pairs", ps)
 
-    @property
-    def n(self) -> int:
-        return sum(d * a for d, a in self.pairs)
-
     def label(self) -> str:
         return "+".join(f"{a}x{d}" for d, a in self.pairs)
 

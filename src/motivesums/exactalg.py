@@ -10,7 +10,8 @@ checks), the rationals and finite fields.  One step, shifted_rows, does every
 multiplication by y modulo a monic polynomial.  root_power_transform, the step
 behind base change of a Weil numerator, works through power sums and
 Newton's identities in integer arithmetic only.  exact_quotient is the one
-exact integer division of this module and of the class counts.
+exact integer division of the package, and rational_solution its one
+linear solve.
 
 Multivariate polynomials are sparse: a tuple of variable names plus a map from
 packed monomials to nonzero integer coefficients.  A packed monomial is one
@@ -47,9 +48,10 @@ class InvariantError(ArithmeticError):
 
 class BudgetError(RuntimeError):
     """Raised before a computation that would exceed its work budget: an
-    enumeration (use the closed counting formulas instead), a reduction
-    modulo a cyclotomic polynomial of too large an index, or a certificate
-    whose products could grow past its term budget."""
+    enumeration with too many trial divisions (use the closed counting
+    formulas instead), a reduction modulo a cyclotomic polynomial of too
+    large an index, or a certificate whose products could grow past its
+    term budget."""
 
 
 # ---------------------------------------------------------------------------
@@ -237,10 +239,6 @@ class IntPolynomial:
 
     def content(self) -> int:
         return math.gcd(*self.coeffs) if self.coeffs else 0
-
-    @staticmethod
-    def constant(c: int) -> "IntPolynomial":
-        return IntPolynomial((c,))
 
     # -- ring operations -------------------------------------------------
 
@@ -432,6 +430,32 @@ def _bareiss_det(rows: list[list[int]]) -> int:
             rows[i][k + 1 :] = [(x * pivot - a * y) // prev for x, y in zip(rows[i][k + 1 :], head)]
         prev = pivot
     return sign * rows[-1][-1]
+
+
+def rational_solution(rows: Iterable[Sequence]) -> list[Fraction] | None:
+    """The unique rational solution of an augmented linear system, by
+    Gauss-Jordan elimination over Fractions.  Each row a_1 .. a_k, b stands
+    for a_1*x_1 + ... + a_k*x_k = b, with integer or rational entries, and
+    there is at least one row.  Returns None when no x satisfies every row;
+    raises ValueError when the k columns are linearly dependent, whether or
+    not the system is consistent."""
+    mat = [[Fraction(v) for v in row] for row in rows]
+    k = len(mat[0]) - 1
+    for col in range(k):
+        piv = next((r for r in range(col, len(mat)) if mat[r][col]), None)
+        if piv is None:
+            raise ValueError("linearly dependent columns: no unique solution")
+        mat[col], mat[piv] = mat[piv], mat[col]
+        head = mat[col]
+        inv = 1 / head[col]
+        head[col:] = [v * inv for v in head[col:]]
+        for r, row in enumerate(mat):
+            f = row[col]
+            if f and r != col:
+                row[col:] = [a - f * b for a, b in zip(row[col:], head[col:])]
+    if any(row[k] for row in mat[k:]):
+        return None
+    return [row[k] for row in mat[:k]]
 
 
 def root_power_transform(w: IntPolynomial, m: int) -> IntPolynomial:

@@ -25,7 +25,7 @@ import operator
 from fractions import Fraction
 from typing import Iterable, Union
 
-from .exactalg import BudgetError, cyclotomic, dense_divmod, dense_mul, factorize, monic_head
+from .exactalg import BudgetError, cyclotomic, dense_divmod, dense_mul, exact_quotient, factorize, monic_head
 from .exactalg import power_by_squaring, remainder_sequence, shifted_rows
 
 RationalLike = Union[int, Fraction]
@@ -212,11 +212,10 @@ class CyclotomicRational:
         return Fraction(self.num[0], self.den)
 
     def divided_exactly(self, k: int) -> "CyclotomicRational":
-        """Divide by the integer k, asserting coordinate-wise divisibility."""
-        if self.den != 1 or any(c % k for c in self.num):
-            bad = next(c for c in self.coords if c.denominator != 1 or c.numerator % k)
-            raise ArithmeticError(f"coordinate {bad} not divisible by {k}")
-        return CyclotomicRational(self.conductor, [c // k for c in self.num])
+        """Divide by the integer k, which must leave integer coordinates;
+        InexactDivision names the first coordinate numerator that k * den
+        does not divide (with den > 1 there is one, as gcd(den, *num) == 1)."""
+        return CyclotomicRational(self.conductor, [exact_quotient(c, k * self.den) for c in self.num])
 
     def __str__(self) -> str:
         if self.is_rational():
@@ -352,10 +351,10 @@ class LefschetzFunction:
         return LefschetzFunction._from_items(((a * k % 1, r**k), c) for (a, r), c in self._terms)
 
     def divided_exactly(self, k: int) -> "LefschetzFunction":
-        for _, c in self._terms:
-            if c.denominator != 1 or c.numerator % k:
-                raise ArithmeticError(f"coefficient {c} not divisible by {k}")
-        return LefschetzFunction._from_items((key, Fraction(c.numerator // k)) for key, c in self._terms)
+        """Divide by the integer k, which must leave integer coefficients;
+        InexactDivision otherwise."""
+        items = [(key, Fraction(exact_quotient(c.numerator, k * c.denominator))) for key, c in self._terms]
+        return LefschetzFunction._from_items(items)
 
     def _index(self) -> int:
         """N, the lcm of the angle denominators."""

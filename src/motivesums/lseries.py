@@ -18,7 +18,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .curves import CurveDatum, h0_det, h0_quotient_factors
-from .exactalg import IntPolynomial, SymbolicPolynomial, resultant, shifted_rows
+from .exactalg import IntPolynomial, SymbolicPolynomial, rational_solution, resultant, shifted_rows
 from .lefschetz import CyclotomicRational, LefschetzFunction
 from .motives import ArtinTateMotive, motive_of, parse_group_spec
 
@@ -188,43 +188,24 @@ def multiplicity_sum(spec, curve: CurveDatum, fixed_chi: bool = True) -> Fractio
 def lefschetz_fit(
     values: Sequence[Fraction], candidate_bases: Sequence[CyclotomicRational]
 ) -> LefschetzFunction | None:
-    """Fit values(m), m = 1..M, as an exact exponential sum over the given
-    bases: solve on the first |bases| points, verify on the rest.  Each base
+    """Fit values(m), m = 1..M, as an exact exponential sum with rational
+    coefficients over the given bases: one rational system, a row per point
+    and per power-basis coordinate of its value in Q(zeta_N), N the lcm of
+    the bases' conductors, solved by exactalg.rational_solution.  Each base
     must be a root of unity times a nonzero rational (ValueError otherwise);
-    equal bases are merged and the powers b^(m+1) are evaluated in the
-    (radius, angle) form of LefschetzFunction.  Returns None when the
-    held-out points reject the fit."""
+    equal bases are merged.  ValueError when M does not exceed their number
+    or a zero base leaves a zero column; None when no rational coefficients
+    fit every point."""
     # equal bases give equal single-term functions, so each is kept once
     distinct = {LefschetzFunction.single(1, b): b for b in candidate_bases}
-    k = len(distinct)
-    if len(values) < k + 1:
+    if len(values) < len(distinct) + 1:
         raise ValueError("need at least one held-out point beyond the solve block")
-    rows = [[s.evaluate(m + 1) for s in distinct] for m in range(k)]
-    rhs = [CyclotomicRational.from_rational(v) for v in values[:k]]
-    coeffs = _solve_exact(rows, rhs)
-    if coeffs is None:
-        raise ValueError("singular system: candidate bases do not separate the points")
-    if not all(c.is_rational() for c in coeffs):
-        return None
-    fitted = LefschetzFunction(zip((c.as_rational() for c in coeffs), distinct.values()))
-    for m in range(k + 1, len(values) + 1):
-        if fitted.evaluate(m) != Fraction(values[m - 1]):
-            return None
-    return fitted
-
-
-def _solve_exact(rows: list[list[CyclotomicRational]], rhs: list[CyclotomicRational]):
-    n = len(rows)
-    mat = [row[:] + [rhs[i]] for i, row in enumerate(rows)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if not mat[r][col].is_zero()), None)
-        if piv is None:
-            return None
-        mat[col], mat[piv] = mat[piv], mat[col]
-        inv = mat[col][col].inverse()
-        mat[col] = [v * inv for v in mat[col]]
-        for r in range(n):
-            if r != col and not mat[r][col].is_zero():
-                f = mat[r][col]
-                mat[r] = [a - f * b for a, b in zip(mat[r], mat[col])]
-    return [mat[i][n] for i in range(n)]
+    columns = [[s.evaluate(m) for m in range(1, len(values) + 1)] for s in distinct]
+    columns.append([CyclotomicRational.from_rational(v) for v in values])
+    n = math.lcm(*(col[0].conductor for col in columns))
+    rows = [row for cells in zip(*columns) for row in zip(*(c.promoted(n).coords for c in cells))]
+    try:
+        coeffs = rational_solution(rows)
+    except ValueError:
+        raise ValueError("singular system: candidate bases do not separate the points") from None
+    return None if coeffs is None else LefschetzFunction(zip(coeffs, distinct.values()))

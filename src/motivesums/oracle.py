@@ -15,7 +15,7 @@ import itertools
 import operator
 from typing import Iterable
 
-from .classtypes import SLType, SpType, enumerate_sl_types, enumerate_sp_types
+from .classtypes import SLType, SpType, enumerate_sl_types, enumerate_sp_types, irreducible_count
 from .exactalg import BudgetError, InexactDivision, InvariantError, dense_divmod, dense_mul, monic_head
 from .exactalg import power_by_squaring, prime_power
 
@@ -143,7 +143,27 @@ class FiniteField:
 # irreducibles and factorization
 # ---------------------------------------------------------------------------
 
-_ENUM_BUDGET = 10**7
+# trial divisions allowed for one census or list of irreducibles.
+# sp_census(2, F_37) needs 962,000 and takes 9.9 s on a 2-core Xeon under
+# Python 3.11; the largest census that the tests, verify, CI and the
+# benchmark run, Sp_4 over F_27 in CI, needs 275,562.
+_WORK_BUDGET = 10**6
+
+
+def _check_work(field: FiniteField, count: int, degree: int) -> None:
+    """Raise BudgetError, before any work, when trial-dividing count monic
+    polynomials of the given degree by every monic irreducible of degree up
+    to half of it (classtypes.irreducible_count of them per degree) would
+    take more than _WORK_BUDGET divisions.  The sum stops once it is over,
+    after a few degrees, as the counts grow like q^e / e."""
+    divisions = 0
+    for e in range(1, degree // 2 + 1):
+        divisions += count * irreducible_count(e, field.q)
+        if divisions > _WORK_BUDGET:
+            raise BudgetError(
+                f"{count} polynomials of degree {degree} need more than {_WORK_BUDGET} trial divisions;"
+                " use the counting formulas"
+            )
 
 
 def _monic_polys(field: FiniteField, d: int):
@@ -157,8 +177,7 @@ def irreducible_monics(field: FiniteField, d: int, constant: int | None = None):
     through the prime subfield)."""
     if d < 1:
         raise ValueError("degree must be positive")
-    if field.q**d > _ENUM_BUDGET:
-        raise BudgetError("enumeration over budget; use the counting formulas")
+    _check_work(field, field.q**d, d)
     polys = field.irreducibles(d)
     if constant is None:
         return list(polys)
@@ -193,8 +212,7 @@ def factor_monic(field: FiniteField, poly: tuple[int, ...]) -> dict[tuple[int, .
 def sl_census(n: int, field: FiniteField) -> dict[SLType, int]:
     """Tally of semisimple class types: monic degree-n polynomials with
     constant term (-1)^n, keyed by factorization shape."""
-    if field.q ** (n - 1) > _ENUM_BUDGET:
-        raise BudgetError("enumeration over budget; use the counting formulas")
+    _check_work(field, field.q ** (n - 1), n)
     tally = {t: 0 for t in enumerate_sl_types(n)}
     constant = field.embed((-1) ** n)
     for digits in itertools.product(range(field.q), repeat=n - 1):
@@ -208,8 +226,7 @@ def sl_census(n: int, field: FiniteField) -> dict[SLType, int]:
 def _palindromes(field: FiniteField, n: int):
     """Monic palindromic polynomials of degree 2n: c_1..c_n free, mirrored
     to c_(2n-1)..c_n.  The budget is checked on the call, before any is built."""
-    if field.q**n > 10**6:
-        raise BudgetError("enumeration over budget; use the counting formulas")
+    _check_work(field, field.q**n, 2 * n)
     return (
         (1,) + digits + tuple(reversed(digits[:-1])) + (1,)
         for digits in itertools.product(range(field.q), repeat=n)

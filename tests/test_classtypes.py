@@ -36,7 +36,7 @@ def test_enumerate_sl_types_counts():
     assert len(enumerate_sl_types(3)) == 5
     for n in (2, 3, 4, 5):
         for t in enumerate_sl_types(n):
-            assert t.n == n
+            assert sum(d * a for d, a in t.pairs) == n
 
 
 # sha256 of the type labels in enumeration order, recorded before the SL and

@@ -234,6 +234,17 @@ def test_budget_exceeded_exits_3(capsys):
     capsys.readouterr()
 
 
+def test_census_over_its_trial_division_budget_exits_3_at_once(capsys):
+    # 59,049 polynomials of degree 6, each trial-divided by up to
+    # 9 + 36 + 240 irreducibles: 16.8 million divisions, about 280 s of work
+    start = time.perf_counter()
+    assert main(["census", "--group", "SL:6", "--q", "9"]) == 3
+    elapsed = time.perf_counter() - start
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1 and "trial divisions" in captured.err
+    assert elapsed < 1
+
+
 def test_certificate_over_its_term_budget_exits_3(capsys):
     # bounded by 7^6 * (6*21 + 1) = 14.9 million terms; without the budget
     # r = 5 already ran for a minute and took 3.8 GB

@@ -7,6 +7,7 @@ of a power of the companion matrix.
 """
 import itertools
 import math
+import operator
 import sys
 import threading
 import time
@@ -14,7 +15,7 @@ import uuid
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from motivesums import exactalg
@@ -27,6 +28,7 @@ from motivesums.exactalg import (
     factorize,
     poly_gcd,
     prime_power,
+    rational_solution,
     resultant,
     root_power_transform,
     shifted_rows,
@@ -414,6 +416,53 @@ def test_resultant_of_a_shared_root_is_zero(d, root, b):
     p = shared * IntPolynomial((1,) * (d - 1) + (-2,))
     value = resultant(p, shared * b)
     assert value == 0 and type(value) is int
+
+
+# ---------------------------------------------------------------------------
+# rational linear solve
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def _planted_systems(draw):
+    """(rows, x, k): a nonsingular integer k x k block, then 1..3 further
+    integer rows, all with right-hand sides a . x for a planted rational x,
+    in a drawn order; also the positions of the further rows."""
+    k = draw(st.integers(1, 4))
+    entry = st.integers(-5, 5)
+    block = draw(st.lists(st.lists(entry, min_size=k, max_size=k), min_size=k, max_size=k))
+    assume(bareiss_det(block) != 0)
+    extra = draw(st.lists(st.lists(entry, min_size=k, max_size=k), min_size=1, max_size=3))
+    x = draw(st.lists(st.fractions(-10, 10, max_denominator=12), min_size=k, max_size=k))
+    rows = [a + [sum(map(operator.mul, a, x))] for a in block + extra]
+    order = draw(st.permutations(range(len(rows))))
+    return [rows[i] for i in order], x, [j for j, i in enumerate(order) if i >= k]
+
+
+@given(_planted_systems(), st.data())
+@settings(max_examples=150, deadline=None)
+def test_rational_solution_recovers_a_planted_solution(system, data):
+    rows, x, further = system
+    assert rational_solution(rows) == x
+    # the square block fixes x, so a further row with another right-hand
+    # side leaves no solution
+    i = data.draw(st.sampled_from(further))
+    delta = data.draw(st.fractions(-3, 3, max_denominator=4).filter(bool))
+    perturbed = [row[:-1] + [row[-1] + delta] if j == i else row for j, row in enumerate(rows)]
+    assert rational_solution(perturbed) is None
+    # a repeated column makes the columns dependent, consistent or not
+    c = data.draw(st.integers(0, len(x) - 1))
+    for system in (rows, perturbed):
+        with pytest.raises(ValueError, match="dependent"):
+            rational_solution([row[:-1] + [row[c], row[-1]] for row in system])
+
+
+def test_rational_solution_small_cases():
+    assert rational_solution([[2, 1], [4, 2]]) == [Fraction(1, 2)]
+    assert rational_solution([[2, 1], [4, 3]]) is None
+    assert rational_solution([[0], [0]]) == [] and rational_solution([[0], [1]]) is None
+    with pytest.raises(ValueError):
+        rational_solution([[1, 0, 1], [2, 0, 2]])  # a zero column
 
 
 # ---------------------------------------------------------------------------

@@ -116,7 +116,7 @@ class FractionCyclotomic:
     def divided_exactly(self, k):
         for c in self.coords:
             if c.denominator != 1 or c.numerator % k:
-                raise ArithmeticError(f"coordinate {c} not divisible by {k}")
+                raise ArithmeticError(f"{c} not divisible by {k}")
         return FractionCyclotomic(self.conductor, [c / k for c in self.coords])
 
     def __str__(self):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from motivesums import curves
+from motivesums import curves, verify
 from motivesums.classsums import class_sum
 from motivesums.curves import CurveDatum, h0_det
 from motivesums.exactalg import IntPolynomial, SymbolicPolynomial, power_by_squaring, to_int_poly
@@ -585,6 +585,98 @@ def test_fit_with_extra_bases():
     assert fitted is not None
     for m in range(1, 9):
         assert fitted.evaluate_rational(m) == values[m - 1]
+
+
+def cyclotomic_fit(values, candidate_bases):
+    """The fit by the older, independent route: Gauss-Jordan elimination
+    over CyclotomicRational, inverting each pivot, on the first k points of
+    k distinct bases, a rationality test on the solution, then the held-out
+    points checked one by one."""
+    distinct = {LefschetzFunction.single(1, b): b for b in candidate_bases}
+    k = len(distinct)
+    rhs = [CyclotomicRational.from_rational(v) for v in values[:k]]
+    mat = [[s.evaluate(m) for s in distinct] + [rhs[m - 1]] for m in range(1, k + 1)]
+    for col in range(k):
+        piv = next((r for r in range(col, k) if not mat[r][col].is_zero()), None)
+        if piv is None:
+            raise ValueError("singular system")
+        mat[col], mat[piv] = mat[piv], mat[col]
+        inv = mat[col][col].inverse()
+        mat[col] = [v * inv for v in mat[col]]
+        for r in range(k):
+            f = mat[r][col]
+            if r != col and not f.is_zero():
+                mat[r] = [a - f * b for a, b in zip(mat[r], mat[col])]
+    coeffs = [row[k] for row in mat]
+    if not all(c.is_rational() for c in coeffs):
+        return None
+    fitted = LefschetzFunction(zip((c.as_rational() for c in coeffs), distinct.values()))
+    if any(fitted.evaluate(m) != values[m - 1] for m in range(k + 1, len(values) + 1)):
+        return None
+    return fitted
+
+
+zeta = CyclotomicRational.root_of_unity
+# Galois orbits of bases r * zeta with zeta of order 3, 4 or 6 (and two
+# rational ones): a rational coefficient shared over an orbit gives
+# rational values
+ORBITS = [
+    [zeta(n, j) * r for j in range(n) if math.gcd(j, n) == 1]
+    for n in (1, 2, 3, 4, 6)
+    for r in (1, 2, Fraction(1, 3))
+]
+nonzero_coeffs = st.fractions(-5, 5, max_denominator=6).filter(bool)
+
+
+@st.composite
+def planted_fits(draw):
+    """(planted function, its values at m = 1..M, candidate bases): the
+    planted orbits, and maybe others, are the candidates, in drawn order."""
+    indices = draw(st.lists(st.integers(0, len(ORBITS) - 1), min_size=1, max_size=4, unique=True))
+    used = indices[: draw(st.integers(1, len(indices)))]
+    coeffs = draw(st.lists(nonzero_coeffs, min_size=len(used), max_size=len(used)))
+    planted = LefschetzFunction((c, b) for c, i in zip(coeffs, used) for b in ORBITS[i])
+    candidates = draw(st.permutations([b for i in indices for b in ORBITS[i]]))
+    count = len(candidates) + draw(st.integers(1, 3))
+    return planted, [planted.evaluate_rational(m) for m in range(1, count + 1)], candidates
+
+
+@given(planted_fits())
+@settings(max_examples=60, deadline=None)
+def test_fit_recovers_planted_sums_over_roots_of_unity(fit):
+    planted, values, candidates = fit
+    assert lefschetz_fit(values, candidates) == planted
+    # without a base the planted sum uses, nothing fits
+    used = {b for _, b in planted.terms}
+    dropped = next(i for i, b in enumerate(candidates) if b in used)
+    assert lefschetz_fit(values, candidates[:dropped] + candidates[dropped + 1 :]) is None
+
+
+@given(planted_fits(), st.data())
+@settings(max_examples=60, deadline=None)
+def test_fit_agrees_with_the_cyclotomic_elimination(fit, data):
+    _, values, candidates = fit
+    i = data.draw(st.integers(0, len(values) - 1))
+    values[i] += data.draw(st.fractions(-2, 2, max_denominator=3))
+    candidates += data.draw(st.lists(st.sampled_from([0, 5, -zeta(6)]), max_size=2))
+    values += [Fraction(1)] * (len(candidates) + 1 - len(values))
+    try:
+        want = cyclotomic_fit(values, candidates)
+    except ValueError:
+        with pytest.raises(ValueError, match="singular system"):
+            lefschetz_fit(values, candidates)
+    else:
+        assert lefschetz_fit(values, candidates) == want
+
+
+def test_multiplicity_fits_need_no_cyclotomic_inverse(monkeypatch):
+    def refuse(self):
+        raise AssertionError("CyclotomicRational.inverse called")
+
+    monkeypatch.setattr(CyclotomicRational, "inverse", refuse)
+    results = verify.check_multiplicity_counts()
+    assert any(label.startswith("multiplicity-fit") for label, _ in results)
+    assert all(passed for _, passed in results)
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@ import functools
 import hashlib
 import itertools
 import math
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -268,6 +269,20 @@ def test_budget_errors():
         irreducible_monics(F9, 9)
     with pytest.raises(BudgetError):
         sp_census(9, F9)
+
+
+def test_census_budget_bounds_trial_divisions():
+    # 4,096 palindromes of degree 6, each trial-divided by up to
+    # 16 + 120 + 1,360 irreducibles: 6.1 million divisions, which took
+    # 121 s when the budget counted palindromes only
+    field = FiniteField(2, 4)
+    start = time.perf_counter()
+    with pytest.raises(BudgetError, match="trial divisions"):
+        sp_census(3, field)
+    assert time.perf_counter() - start < 1
+    # the largest census run elsewhere (Sp_4 over F_27: 729 palindromes,
+    # 27 + 351 divisors each) fits twice over
+    oracle._check_work(FiniteField.of_order(27), 2 * 27**2, 4)
 
 
 # ---------------------------------------------------------------------------
