@@ -12,6 +12,19 @@ only, so each is built once, with its centralizer motive, and memoized by
 value: the key is the group kind, its size and whether q is even.  The memo
 holds one entry per distinct key and is never evicted; the values are tuples
 of frozen types and motives, so a caller cannot change what another reads.
+
+An Sp certificate's row data depends on values only, so each piece is
+computed once per distinct value and memoized: a count's interpolation by
+its values at the interpolation points, a determinant's specializations
+d(1, x), d(x, x) and its derivatives at q = -1 by the determinant, the
+product of det(a, x) over the a-variables and its derivatives at x = -1 by
+the determinant and the names, the ratio checks by the transcribed pairs,
+and the derivative witnesses and power congruences by the names.  No memo
+is keyed by the group and parity alone, so a changed count, determinant or
+ratio is checked afresh.  Each memo holds one entry per distinct key and is
+never evicted; the values are tuples, frozen checks and immutable
+polynomials, and the transcribed ratios are handed out as new dicts on
+every call.
 """
 from __future__ import annotations
 
@@ -19,7 +32,7 @@ import dataclasses
 import functools
 import math
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .classtypes import (
     SLType,
@@ -85,35 +98,30 @@ class DerivativeWitness:
     D: SymbolicPolynomial
 
 
-# the empty product, which math.prod needs as its start
+# the empty product, which math.prod needs as its start, and the empty sum
 _ONE = SymbolicPolynomial.constant(1)
+_ZERO = SymbolicPolynomial.constant(0)
 
 
-def derivative_witness(j_names: Sequence[str], k: int) -> DerivativeWitness:
-    ones = [1 + SymbolicPolynomial.variable(name) for name in j_names]
-    alphas = [SymbolicPolynomial.variable(name) for name in j_names]
-    r = len(j_names)
-    a = math.prod((p**k for p in ones), start=_ONE)
-
-    def rest(skip: set) -> SymbolicPolynomial:
-        return math.prod((ones[j] ** k for j in range(r) if j not in skip), start=_ONE)
-
-    b = SymbolicPolynomial.constant(0)
-    c = SymbolicPolynomial.constant(0)
-    d = SymbolicPolynomial.constant(0)
-    for i in range(r):
-        b = b + alphas[i] * ones[i] ** (k - 1) * rest({i})
-        c = c + alphas[i] ** 2 * ones[i] ** (k - 2) * rest({i})
-        for j in range(r):
-            if j != i:
-                d = d + (
-                    alphas[i]
-                    * alphas[j]
-                    * ones[i] ** (k - 1)
-                    * ones[j] ** (k - 1)
-                    * rest({i, j})
-                )
-    return DerivativeWitness(A=a, B=b, C=c, D=d)
+@functools.cache
+def derivative_witness(j_names: tuple[str, ...], k: int) -> DerivativeWitness:
+    """A = prod (1+a)^k, B = sum a (1+a)^(k-1) * rest, C = sum a^2
+    (1+a)^(k-2) * rest and D = sum over ordered pairs of distinct variables
+    a a' ((1+a)(1+a'))^(k-1) * rest, rest the product of (1+b)^k over the
+    other variables b; each is built from the witness of all names but the
+    last, as the product rule builds a product's derivatives."""
+    if not j_names:
+        return DerivativeWitness(A=_ONE, B=_ZERO, C=_ZERO, D=_ZERO)
+    w = derivative_witness(j_names[:-1], k)
+    a = SymbolicPolynomial.variable(j_names[-1])
+    p, p1, p2 = (1 + a) ** k, a * (1 + a) ** (k - 1), a**2 * (1 + a) ** (k - 2)
+    products = SymbolicPolynomial.sum_of_products
+    return DerivativeWitness(
+        A=w.A * p,
+        B=products([(w.B, p), (w.A, p1)]),
+        C=products([(w.C, p), (w.A, p2)]),
+        D=products([(w.D, p), (w.B, 2 * p1)]),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -270,10 +278,10 @@ def sl_script_p(n: int, r: int, n_prime: int = 1, d_prime: int = 1) -> SymbolicC
     big_n = n_prime * n
     _check_terms(big_n, r, r * big_n * (big_n // d_prime - 1) // 2 + n)
     names = j_variable_names(r)
-    num = SymbolicPolynomial.constant(0)
-    for d in divisors(n):
-        h = h_polynomial(n_prime * n, d_prime * d, names)
-        num = num + h * SymbolicPolynomial.from_int_poly(m_numerator(n, d), "x")
+    num = SymbolicPolynomial.sum_of_products(
+        (h_polynomial(n_prime * n, d_prime * d, names), SymbolicPolynomial.from_int_poly(m_numerator(n, d), "x"))
+        for d in divisors(n)
+    )
     den_coeffs = [0] * (n + 1)
     den_coeffs[0], den_coeffs[-1] = -1, 1
     den = SymbolicPolynomial.from_int_poly(IntPolynomial(den_coeffs), "x")
@@ -306,9 +314,16 @@ _Q6 = IntPolynomial((1, -1, 1))  # 1 - x + x^2
 def _golden_sp_ratios() -> dict:
     """Transcribed count-times-ratio rational functions, keyed by
     (half-dimension, parity) and table row label, as (numerator,
-    denominator) integer polynomial pairs."""
+    denominator) integer polynomial pairs.  Every call returns new dicts,
+    so a caller may change them without changing what another reads."""
+    return {key: dict(rows) for key, rows in _golden_pairs()}
+
+
+@functools.cache
+def _golden_pairs() -> tuple:
+    """The transcribed table of _golden_sp_ratios, as nested tuples."""
     x = _X
-    return {
+    table = {
         (2, "odd"): {
             "t1": (2 * IntPolynomial((1, 1, 1)), _OP * _OP * _Q4),
             "t2": (IntPolynomial((1,)), _OP * _OP),
@@ -360,6 +375,7 @@ def _golden_sp_ratios() -> dict:
             "t12": (x * IntPolynomial((-1, 1)), 3 * _Q6),
         },
     }
+    return tuple((key, tuple(rows.items())) for key, rows in table.items())
 
 
 # rows entering the (1+x)-power derivative checks:
@@ -406,17 +422,20 @@ _WITNESS_ROWS = {
 _WITNESS_SPECIAL = {(3, "even"): {"t7": Fraction(1, 2), "t11": Fraction(-1, 2)}}
 
 
-# the degree of every tabulated class count is at most this
+# the degree of every tabulated class count is at most this; a count is
+# read at 0.._COUNT_DEGREE and at two check points
 _COUNT_DEGREE = 4
+_COUNT_POINTS = (*range(_COUNT_DEGREE + 1), _COUNT_DEGREE + 3, _COUNT_DEGREE + 7)
 
 
 @functools.cache
-def _count_polynomial(fn: Callable[[int], Fraction]):
-    """Interpolate a polynomial count function exactly, as one linear system
-    through the points 0.._COUNT_DEGREE and two check points; returns an
-    integer numerator polynomial and a positive integer denominator."""
-    points = [*range(_COUNT_DEGREE + 1), _COUNT_DEGREE + 3, _COUNT_DEGREE + 7]
-    coeffs = rational_solution([x**d for d in range(_COUNT_DEGREE + 1)] + [fn(x)] for x in points)
+def _count_polynomial(values: tuple[Fraction, ...]):
+    """Interpolate a count function from its values at _COUNT_POINTS, as one
+    linear system whose two extra rows check that it is polynomial; returns
+    an integer numerator polynomial and a positive integer denominator."""
+    coeffs = rational_solution(
+        [x**d for d in range(_COUNT_DEGREE + 1)] + [v] for x, v in zip(_COUNT_POINTS, values)
+    )
     if coeffs is None:
         raise ArithmeticError("count is not polynomial of the expected degree")
     lcm = math.lcm(*(c.denominator for c in coeffs))
@@ -424,22 +443,80 @@ def _count_polynomial(fn: Callable[[int], Fraction]):
 
 
 @functools.cache
+def _det_at_one_and_x(det: SymbolicPolynomial) -> tuple[IntPolynomial, IntPolynomial]:
+    """A centralizer determinant d(t, q) as d(1, x) and d(x, x), read off
+    as polynomials in q."""
+    q = SymbolicPolynomial.variable("q")
+    return tuple(to_int_poly(det.substitute({"t": t}), "q") for t in (1, q))
+
+
+@functools.cache
+def _transcription(count_values: tuple[Fraction, ...], det, g_num: IntPolynomial, g_den: IntPolynomial):
+    """Whether count(x) * d(1, x) / d(x, x) equals g_num / g_den, for the
+    count with these values at _COUNT_POINTS and the determinant d(t, q),
+    and the numerator count * d(1, x) as text."""
+    num_count, den_count = _count_polynomial(count_values)
+    d_one, d_x = _det_at_one_and_x(det)
+    r_num = num_count * d_one
+    return (r_num * g_den - g_num * (den_count * d_x)).is_zero(), str(r_num)
+
+
+@functools.cache
+def _cleared_multiplier(cleared_den: IntPolynomial, g_num: IntPolynomial, g_den: IntPolynomial) -> IntPolynomial:
+    """cleared_den * g_num / g_den; InexactDivision when it is not integral."""
+    return (cleared_den * g_num) / g_den
+
+
+@functools.cache
+def _det_jet(det: SymbolicPolynomial) -> tuple[IntPolynomial, ...]:
+    """det(t, -1) and its first two derivatives in q at q = -1, as integer
+    polynomials in t: a term c t^i q^j gives c (-1)^j t^i, -j c (-1)^j t^i
+    and j (j-1) c (-1)^j t^i."""
+    jets = [[0] * (det.degree_in("t") + 1) for _ in range(3)]
+    for (i, j), c in det.evaluate_except(("t", "q"), {}).items():
+        c = -c if j % 2 else c
+        jets[0][i] += c
+        jets[1][i] -= j * c
+        jets[2][i] += j * (j - 1) * c
+    return tuple(map(IntPolynomial, jets))
+
+
+@functools.cache
+def _det_product(det: SymbolicPolynomial, names: tuple[str, ...]):
+    """h, the product of det(a, x) over the a-variables names, and h(-1),
+    h'(-1) and h''(-1) (polynomials in the a-variables), built from the
+    product over all names but the last by the product rule."""
+    if not names:
+        return _ONE, (_ONE, _ZERO, _ZERO)
+    f = det.substitute({"t": SymbolicPolynomial.variable(names[-1]), "q": SymbolicPolynomial.variable("x")})
+    jet = tuple(SymbolicPolynomial.from_int_poly(j, names[-1]) for j in _det_jet(det))
+    if len(names) == 1:
+        return f, jet
+    h, (v, d1, d2) = _det_product(det, names[:-1])
+    fv, f1, f2 = jet
+    products = SymbolicPolynomial.sum_of_products
+    return h * f, (v * fv, products([(d1, fv), (v, f1)]), products([(d2, fv), (d1, 2 * f1), (v, f2)]))
+
+
+@functools.cache
 def _rational_derivatives_at(num: IntPolynomial, den: IntPolynomial, point: int, order: int):
     """Values of num/den and its first `order` derivatives at the point,
     exactly; the reduced denominator must not vanish there."""
     g = poly_gcd(num, den)
-    n, d = num / g, den / g
-    dv = d.evaluate(point)
-    if dv == 0:
+    # the reduced numerator's and denominator's values and first two
+    # derivatives at the point, by Horner's rule
+    jets = []
+    for f in (num / g, den / g):
+        v = f1 = f2 = 0
+        for c in reversed(f.coeffs):
+            f2, f1, v = f2 * point + f1, f1 * point + v, v * point + c
+        jets.append((v, f1, 2 * f2))
+    (n0, n1, n2), (d0, d1, d2) = jets
+    if d0 == 0:
         raise ZeroDivisionError("denominator vanishes at the evaluation point")
-    values = [Fraction(n.evaluate(point), dv)]
-    if order >= 1:
-        n1 = n.derivative() * d - n * d.derivative()
-        values.append(Fraction(n1.evaluate(point), dv**2))
-        if order >= 2:
-            n2 = n1.derivative() * d - 2 * n1 * d.derivative()
-            values.append(Fraction(n2.evaluate(point), dv**3))
-    return tuple(values)
+    values = [Fraction(n0, d0), Fraction(n1 * d0 - n0 * d1, d0**2)]
+    values.append(Fraction(n2 * d0**2 - (n0 * d2 + 2 * n1 * d1) * d0 + 2 * n0 * d1**2, d0**3))
+    return tuple(values[: order + 1])
 
 
 def sp_certificate(n: int, parity: str, r: int) -> SymbolicCertificate:
@@ -456,7 +533,6 @@ def sp_certificate(n: int, parity: str, r: int) -> SymbolicCertificate:
     rows = table_goldens()[(n, parity)]
     golden = _golden_sp_ratios()[(n, parity)]
     names = j_variable_names(r)
-    x = SymbolicPolynomial.variable("x")
     checks: list[Check] = []
 
     scalar = 2 if n == 2 else 6
@@ -466,27 +542,23 @@ def sp_certificate(n: int, parity: str, r: int) -> SymbolicCertificate:
     # degree is at most the cleared denominator's
     _check_terms(n + 1, r, r * n * n + cleared_den.degree)
 
-    total = SymbolicPolynomial.constant(0)
-    h_by_label: dict[str, SymbolicPolynomial] = {}
+    # rows with equal determinants share one product h
+    multipliers: dict[SymbolicPolynomial, IntPolynomial] = {}
+    at_minus_one = {}
     for row in rows:
-        num_count, den_count = _count_polynomial(row.count)
-        d_one = to_int_poly(row.det.substitute({"t": 1, "q": x}), "x")
-        d_x = to_int_poly(row.det.substitute({"t": x, "q": x}), "x")
-        r_num = num_count * d_one
-        r_den = den_count * d_x
         g_num, g_den = golden[row.label]
-        match = (r_num * g_den - g_num * r_den).is_zero()
-        _require(checks, f"count-ratio-transcription-{row.label}", match, str(r_num))
+        match, witness = _transcription(tuple(map(row.count, _COUNT_POINTS)), row.det, g_num, g_den)
+        _require(checks, f"count-ratio-transcription-{row.label}", match, witness)
         try:
-            multiplier = (cleared_den * g_num) / g_den
+            multiplier = _cleared_multiplier(cleared_den, g_num, g_den)
         except InexactDivision as exc:
             _require(checks, f"denominator-clearance-{row.label}", False, str(exc))
-        h = math.prod(
-            (row.det.substitute({"t": SymbolicPolynomial.variable(name), "q": x}) for name in names),
-            start=_ONE,
-        )
-        h_by_label[row.label] = h
-        total = total + SymbolicPolynomial.from_int_poly(multiplier, "x") * h
+        multipliers[row.det] = multipliers.get(row.det, 0) + multiplier
+        at_minus_one[row.label] = _det_product(row.det, names)[1]
+    total = SymbolicPolynomial.sum_of_products(
+        (SymbolicPolynomial.from_int_poly(multiplier, "x"), _det_product(det, names)[0])
+        for det, multiplier in multipliers.items()
+    )
 
     _require(
         checks,
@@ -502,7 +574,8 @@ def sp_certificate(n: int, parity: str, r: int) -> SymbolicCertificate:
             "all cleared coefficients divisible by 3",
         )
 
-    g = total
+    # total and its remainder modulo (1+x)^n agree at -1 to order n - 1
+    g = total.remainder(_OP**n, "x")
     for order in range(n):
         value = g.substitute({"x": -1})
         _require(
@@ -513,16 +586,17 @@ def sp_certificate(n: int, parity: str, r: int) -> SymbolicCertificate:
         )
         g = g.derivative("x")
 
-    quartic = SymbolicPolynomial.from_int_poly(_Q4, "x")
-    _, rem4 = total.divrem(quartic, "x")
+    rem4 = total.remainder(_Q4, "x")
     _require(checks, "fourth-root-vanishing", rem4.is_zero(), str(rem4))
     if n == 3:
-        sextic = SymbolicPolynomial.from_int_poly(_Q6, "x")
-        _, rem6 = total.divrem(sextic, "x")
+        rem6 = total.remainder(_Q6, "x")
         _require(checks, "sixth-root-vanishing", rem6.is_zero(), str(rem6))
 
-    _freshman_congruences(n, names, checks)
-    _witness_conditions(n, parity, golden, h_by_label, names, checks)
+    mod2, mod3 = _freshman_congruences(n, names)
+    if n == 3:
+        _require(checks, "power-congruence-mod-3", mod3, "cube of product congruence")
+    _require(checks, "power-congruence-mod-2", mod2, "square of product congruence")
+    _witness_conditions(n, parity, golden, at_minus_one, names, checks)
 
     den_sym = SymbolicPolynomial.from_int_poly(cleared_den, "x")
     quo, rem = total.divrem(den_sym, "x")
@@ -537,24 +611,64 @@ def sp_certificate(n: int, parity: str, r: int) -> SymbolicCertificate:
     )
 
 
-def _freshman_congruences(n: int, names: Sequence[str], checks: list[Check]):
+@functools.cache
+def _freshman_congruences(n: int, names: tuple[str, ...]) -> tuple[bool, bool]:
+    """Whether the product of (1+a)^n over the a-variables is congruent to
+    that of (1+a)^(n-2) (1+a^2) mod 2 and, for n = 3, to that of 1+a^3
+    mod 3 (True for n = 2)."""
     alphas = [SymbolicPolynomial.variable(name) for name in names]
     power = math.prod(((1 + a) ** n for a in alphas), start=_ONE)
     diff2 = power - math.prod(((1 + a) ** (n - 2) * (1 + a**2) for a in alphas), start=_ONE)
-    if n == 3:
-        diff3 = power - math.prod((1 + a**3 for a in alphas), start=_ONE)
+    diff3 = power - math.prod((1 + a**3 for a in alphas), start=_ONE) if n == 3 else _ZERO
+    return diff2.content() % 2 == 0, diff3.content() % 3 == 0
+
+
+def _witness_conditions(n, parity, golden, at_minus_one, names, checks: list[Check]):
+    rows = _WITNESS_ROWS[(n, parity)]
+    special = _WITNESS_SPECIAL.get((n, parity), {})
+    per_label, closing = _ratio_witnesses(n, parity, tuple(golden[label] for label in (*rows, *special)))
+    witness = derivative_witness(names, n)
+    for (label, (_, _, h1_coeff, h2_coeffs)), ratio_checks in zip(rows.items(), per_label):
+        for check in ratio_checks:
+            _require(checks, check.label, check.passed, check.witness)
+        h0, h1, h2 = at_minus_one[label]
         _require(
             checks,
-            "power-congruence-mod-3",
-            diff3.content() % 3 == 0,
-            "cube of product congruence",
+            f"derivative-witness-{label}",
+            h1 == h1_coeff * witness.B,
+            f"first derivative coefficient {h1_coeff}",
         )
-    _require(checks, "power-congruence-mod-2", diff2.content() % 2 == 0, "square of product congruence")
+        _require(checks, f"value-witness-{label}", h0 == witness.A, "product of (1+a)^k")
+        if h2_coeffs is not None:
+            c_ab, c_ac, c_ad = h2_coeffs
+            claimed = c_ab * witness.B + c_ac * witness.C + c_ad * witness.D
+            _require(
+                checks,
+                f"second-derivative-witness-{label}",
+                h2 == claimed,
+                f"second derivative coefficients {h2_coeffs}",
+            )
+    if special:
+        mixed = math.prod(
+            ((1 + SymbolicPolynomial.variable(nm)) * (1 + SymbolicPolynomial.variable(nm) ** 2) for nm in names),
+            start=_ONE,
+        )
+    for label, ratio_checks in zip(special, per_label[len(rows) :]):
+        for check in ratio_checks:
+            _require(checks, check.label, check.passed, check.witness)
+        _require(checks, f"value-witness-{label}", at_minus_one[label][0] == mixed, "product of (1+a)(1+a^2)")
+    for check in closing:
+        _require(checks, check.label, check.passed, check.witness)
 
 
-def _witness_conditions(n, parity, golden, h_by_label, names, checks: list[Check]):
+@functools.cache
+def _ratio_witnesses(n: int, parity: str, pairs: tuple) -> tuple[tuple[tuple[Check, ...], ...], tuple[Check, ...]]:
+    """The checks on the transcribed ratios times (1+x)^n at -1, for the
+    golden pairs of the rows of _WITNESS_ROWS and then _WITNESS_SPECIAL:
+    each row's checks, then the checks on their sums and on the
+    combinations of the witness coefficients."""
     rows = _WITNESS_ROWS[(n, parity)]
-    witness = derivative_witness(names, n)
+    special = _WITNESS_SPECIAL.get((n, parity), {})
     order = n - 1
     sums = {"s": Fraction(0), "s1": Fraction(0), "s2": Fraction(0)}
     first_order = Fraction(0)
@@ -562,45 +676,15 @@ def _witness_conditions(n, parity, golden, h_by_label, names, checks: list[Check
     second_ac = Fraction(0)
     second_ad = Fraction(0)
     op_power = _OP**n
-    for label, (s_val, s1_val, h1_coeff, h2_coeffs) in rows.items():
-        g_num, g_den = golden[label]
+    per_label = []
+    for (label, (s_val, s1_val, h1_coeff, h2_coeffs)), (g_num, g_den) in zip(rows.items(), pairs):
         values = _rational_derivatives_at(g_num * op_power, g_den, -1, order)
-        _require(
-            checks,
-            f"ratio-value-at-minus-one-{label}",
-            values[0] == s_val,
-            f"{values[0]}",
-        )
+        label_checks = [Check(f"ratio-value-at-minus-one-{label}", values[0] == s_val, f"{values[0]}")]
         if s1_val is not None:
-            _require(
-                checks,
-                f"ratio-slope-at-minus-one-{label}",
-                values[1] == s1_val,
-                f"{values[1]}",
-            )
-        h = h_by_label[label]
-        h1 = h.derivative("x")
-        _require(
-            checks,
-            f"derivative-witness-{label}",
-            h1.substitute({"x": -1}) == h1_coeff * witness.B,
-            f"first derivative coefficient {h1_coeff}",
-        )
-        _require(
-            checks,
-            f"value-witness-{label}",
-            h.substitute({"x": -1}) == witness.A,
-            "product of (1+a)^k",
-        )
+            label_checks.append(Check(f"ratio-slope-at-minus-one-{label}", values[1] == s1_val, f"{values[1]}"))
+        per_label.append(tuple(label_checks))
         if h2_coeffs is not None:
             c_ab, c_ac, c_ad = h2_coeffs
-            claimed = c_ab * witness.B + c_ac * witness.C + c_ad * witness.D
-            _require(
-                checks,
-                f"second-derivative-witness-{label}",
-                h1.derivative("x").substitute({"x": -1}) == claimed,
-                f"second derivative coefficients {h2_coeffs}",
-            )
             second_ab += s_val * c_ab
             second_ac += s_val * c_ac
             second_ad += s_val * c_ad
@@ -610,35 +694,24 @@ def _witness_conditions(n, parity, golden, h_by_label, names, checks: list[Check
             sums["s2"] += values[2]
             second_ab += 2 * s1_val * h1_coeff
         first_order += s_val * h1_coeff
-    special = _WITNESS_SPECIAL.get((n, parity), {})
-    for label, s2_claimed in special.items():
-        g_num, g_den = golden[label]
+    for (label, s2_claimed), (g_num, g_den) in zip(special.items(), pairs[len(rows) :]):
         values = _rational_derivatives_at(g_num * op_power, g_den, -1, 2)
-        _require(
-            checks,
-            f"ratio-curvature-at-minus-one-{label}",
-            values[0] == 0 and values[1] == 0 and values[2] == s2_claimed,
-            f"{values[2]}",
-        )
+        passed = values[0] == 0 and values[1] == 0 and values[2] == s2_claimed
+        per_label.append((Check(f"ratio-curvature-at-minus-one-{label}", passed, f"{values[2]}"),))
         sums["s2"] += values[2]
-        mixed = math.prod(
-            ((1 + SymbolicPolynomial.variable(nm)) * (1 + SymbolicPolynomial.variable(nm) ** 2) for nm in names),
-            start=_ONE,
-        )
-        _require(
-            checks,
-            f"value-witness-{label}",
-            h_by_label[label].substitute({"x": -1}) == mixed,
-            "product of (1+a)(1+a^2)",
-        )
-    _require(checks, "witness-sum-value", sums["s"] == 0, str(sums["s"]))
-    _require(checks, "witness-sum-slope", sums["s1"] == 0, str(sums["s1"]))
-    _require(checks, "witness-first-order-combination", first_order == 0, str(first_order))
+    closing = [
+        Check("witness-sum-value", sums["s"] == 0, str(sums["s"])),
+        Check("witness-sum-slope", sums["s1"] == 0, str(sums["s1"])),
+        Check("witness-first-order-combination", first_order == 0, str(first_order)),
+    ]
     if order >= 2:
-        _require(checks, "witness-sum-curvature", sums["s2"] == 0, str(sums["s2"]))
-        _require(checks, "witness-second-order-ab", second_ab == 0, str(second_ab))
-        _require(checks, "witness-second-order-ac", second_ac == 0, str(second_ac))
-        _require(checks, "witness-second-order-ad", second_ad == 0, str(second_ad))
+        closing += [
+            Check("witness-sum-curvature", sums["s2"] == 0, str(sums["s2"])),
+            Check("witness-second-order-ab", second_ab == 0, str(second_ab)),
+            Check("witness-second-order-ac", second_ac == 0, str(second_ac)),
+            Check("witness-second-order-ad", second_ad == 0, str(second_ad)),
+        ]
+    return tuple(per_label), tuple(closing)
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,7 @@ from .classsums import (
     sp_certificate,
 )
 from .curves import CurveDatum
-from .exactalg import SymbolicPolynomial
+from .exactalg import SymbolicPolynomial, _format_terms
 from .lefschetz import LefschetzFunction, f_N_transform, place_product
 from .lseries import l_value
 from .motives import motive_of
@@ -114,12 +114,13 @@ def write_certificate(cert: SymbolicCertificate, out: TextIO) -> None:
     text and its terms, ordered by their exponents in the order of its
     variables, and the terms are written a batch at a time."""
     # the nonsplit closed form is the certificate polynomial itself, so
-    # each distinct polynomial is printed and sorted once
+    # each distinct polynomial is decoded, sorted and printed once
     parts: dict[int, tuple] = {}
 
     def write_polynomial(p: SymbolicPolynomial, indent: str) -> None:
         if id(p) not in parts:
-            parts[id(p)] = (str(p), p.vars, *p.sorted_columns(graded=False))
+            coeffs, columns = p.sorted_columns(graded=False)
+            parts[id(p)] = (_graded_text(p.vars, coeffs, columns), p.vars, coeffs, columns)
         _write_polynomial(out, *parts[id(p)], indent)
 
     out.write(f'{{\n  "group": {_indented(cert.group, "  ")},\n')
@@ -133,6 +134,14 @@ def write_certificate(cert: SymbolicCertificate, out: TextIO) -> None:
     out.write("\n  }" if cert.closed_forms else "}")
     checks = [dataclasses.asdict(c) for c in cert.checks]
     out.write(f',\n  "checks": {_indented(checks, "  ")}\n}}')
+
+
+def _graded_text(names: Sequence[str], coeffs: list[int], columns: list[list[int]]) -> str:
+    """str() of the polynomial whose terms are given in the order of their
+    exponents in names: the graded order that str() prints is that order,
+    stably sorted by total degree."""
+    order = sorted(range(len(coeffs)), key=list(map(sum, zip(*columns))).__getitem__) if columns else range(len(coeffs))
+    return _format_terms(names, [coeffs[i] for i in order], [[col[i] for i in order] for col in columns])
 
 
 def _indented(value, indent: str) -> str:

@@ -11,7 +11,8 @@ multiplication by y modulo a monic polynomial.  root_power_transform, the step
 behind base change of a Weil numerator, works through power sums and
 Newton's identities in integer arithmetic only.  exact_quotient is the one
 exact integer division of the package, and rational_solution its one
-linear solve.
+linear solve: fraction-free Gauss-Jordan elimination over the integers
+(Bareiss 1968), which forms a Fraction only for each unknown at the end.
 
 Multivariate polynomials are sparse: a tuple of variable names plus a map from
 packed monomials to nonzero integer coefficients.  A packed monomial is one
@@ -433,29 +434,49 @@ def _bareiss_det(rows: list[list[int]]) -> int:
 
 
 def rational_solution(rows: Iterable[Sequence]) -> list[Fraction] | None:
-    """The unique rational solution of an augmented linear system, by
-    Gauss-Jordan elimination over Fractions.  Each row a_1 .. a_k, b stands
-    for a_1*x_1 + ... + a_k*x_k = b, with integer or rational entries, and
-    there is at least one row.  Returns None when no x satisfies every row;
-    raises ValueError when the k columns are linearly dependent, whether or
-    not the system is consistent."""
-    mat = [[Fraction(v) for v in row] for row in rows]
+    """The unique rational solution of an augmented linear system.  Each
+    row a_1 .. a_k, b stands for a_1*x_1 + ... + a_k*x_k = b, with integer
+    or rational entries, and there is at least one row.  Returns None when
+    no x satisfies every row; raises ValueError when the k columns are
+    linearly dependent, whether or not the system is consistent.
+
+    The elimination is fraction-free Gauss-Jordan over the integers
+    (Bareiss, "Sylvester's identity and multistep integer-preserving
+    Gaussian elimination", Math. Comp. 22 (1968)).  Each row is scaled by
+    the lcm of its denominators.  A step with pivot p replaces every other
+    row's entries a by (p*a - f*b) / p_prev, f being the row's entry in the
+    pivot column, b the pivot row's entry and p_prev the previous pivot.
+    By Sylvester's identity each such entry is a minor of the scaled
+    matrix, so every division is exact; exact_quotient checks it.  After
+    the last step each pivot row reads p_last * x_i = its last entry, which
+    gives one Fraction per unknown, and a further row is consistent when
+    its last entry is 0.  The pivots are the first nonzero entries, as in
+    elimination over the Fractions, so both find the same answer, None or
+    ValueError.
+    """
+    mat = []
+    for row in rows:
+        den = math.lcm(*(v.denominator for v in row))
+        mat.append([v.numerator * (den // v.denominator) for v in row])
     k = len(mat[0]) - 1
+    prev = 1
     for col in range(k):
         piv = next((r for r in range(col, len(mat)) if mat[r][col]), None)
         if piv is None:
             raise ValueError("linearly dependent columns: no unique solution")
         mat[col], mat[piv] = mat[piv], mat[col]
-        head = mat[col]
-        inv = 1 / head[col]
-        head[col:] = [v * inv for v in head[col:]]
+        head = mat[col][col:]
+        p = head[0]
+        # the entries left of col are no longer read: the pivot rows' are
+        # p on the diagonal and 0 elsewhere, the further rows' are all 0
         for r, row in enumerate(mat):
-            f = row[col]
-            if f and r != col:
-                row[col:] = [a - f * b for a, b in zip(row[col:], head[col:])]
+            if r != col:
+                f = row[col]
+                row[col:] = [exact_quotient(p * a - f * b, prev) for a, b in zip(row[col:], head)]
+        prev = p
     if any(row[k] for row in mat[k:]):
         return None
-    return [row[k] for row in mat[:k]]
+    return [Fraction(row[k], prev) for row in mat[:k]]
 
 
 def root_power_transform(w: IntPolynomial, m: int) -> IntPolynomial:
@@ -719,6 +740,23 @@ class SymbolicPolynomial:
 
     __rmul__ = __mul__
 
+    @staticmethod
+    def sum_of_products(pairs: Iterable[tuple["SymbolicPolynomial", "SymbolicPolynomial"]]) -> "SymbolicPolynomial":
+        """The sum of a * b over the pairs (a, b), multiplied into one
+        accumulator without forming each product; the variables are listed
+        in order of first appearance over the pairs' merged variables."""
+        out: dict[int, int] = {}
+        get = out.get
+        names: tuple[str, ...] = ()
+        for a, b in pairs:
+            names += tuple(v for v in a._merged(b) if v not in names)
+            terms = list(b._packed.items())
+            for ea, ca in a._packed.items():
+                for eb, cb in terms:
+                    key = ea + eb
+                    out[key] = get(key, 0) + ca * cb
+        return SymbolicPolynomial._new(names, {e: c for e, c in out.items() if c})
+
     def __pow__(self, n: int) -> "SymbolicPolynomial":
         if n < 0:
             raise ValueError("negative power of a polynomial")
@@ -928,6 +966,30 @@ class SymbolicPolynomial:
             for e, c in qrow.items():
                 quo[e + base] = c
         return self._exact(tuple(order), quo), self._new(names, rem)
+
+    def remainder(self, modulus: IntPolynomial, var: str) -> "SymbolicPolynomial":
+        """The remainder of this polynomial on division by a monic
+        polynomial in var, which divrem would also give, in one pass over
+        the terms and without the quotient: var^d modulo it is formed once
+        per degree d (shifted_rows), and each term scatters its coefficient
+        over that residue."""
+        if not modulus.is_monic():
+            raise ValueError("modulus must be monic")
+        if not modulus.degree:
+            return SymbolicPolynomial.constant(0)
+        s = _shift(var)
+        low = modulus.coeffs[:-1]
+        powers = shifted_rows([1] + [0] * (len(low) - 1), low)
+        residues = [[(j << s, r) for j, r in enumerate(row) if r] for row in itertools.islice(powers, self.degree_in(var) + 1)]
+        out: dict[int, int] = {}
+        get = out.get
+        for e, c in self._packed.items():
+            d = e >> s & _FIELD
+            rest = e - (d << s)
+            for j, r in residues[d]:
+                k = rest + j
+                out[k] = get(k, 0) + r * c
+        return self._new(self.vars, {e: c for e, c in out.items() if c})
 
     def exact_div(self, divisor: "SymbolicPolynomial", var: str) -> "SymbolicPolynomial":
         q, r = self.divrem(divisor, var)

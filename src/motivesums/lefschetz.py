@@ -120,10 +120,14 @@ class CyclotomicRational:
         raise TypeError(f"cannot coerce {v!r}")
 
     def promoted(self, target: int) -> "CyclotomicRational":
+        """This element in Q(zeta_target), for a multiple target of its
+        conductor; BudgetError, before Phi_target is built, when a reduction
+        modulo it is over budget."""
         if target % self.conductor:
             raise ValueError("target conductor must be a multiple")
         if target == self.conductor:
             return self
+        _check_reduction(target)
         step = target // self.conductor
         out = [0] * ((len(self.num) - 1) * step + 1)
         out[::step] = self.num

@@ -357,18 +357,73 @@ def test_tampered_ratio_fails_loudly(monkeypatch):
         sp_certificate(2, "odd", 1)
 
 
+# every memo that an Sp certificate build reads
+_SP_MEMOS = (
+    cs._golden_pairs,
+    cs._count_polynomial,
+    cs._det_at_one_and_x,
+    cs._transcription,
+    cs._cleared_multiplier,
+    cs._det_jet,
+    cs._det_product,
+    cs._rational_derivatives_at,
+    cs._ratio_witnesses,
+    cs._freshman_congruences,
+    cs.derivative_witness,
+)
+
+
 @pytest.mark.parametrize("parity", ["odd", "even"])
 @pytest.mark.parametrize("n", [2, 3])
 def test_sp_certificate_is_the_same_with_cold_and_warm_caches(n, parity):
-    import motivesums.classsums as cs
-
     for r in range(4):
-        cs._count_polynomial.cache_clear()
-        cs._rational_derivatives_at.cache_clear()
+        for memo in _SP_MEMOS:
+            memo.cache_clear()
         cold = sp_certificate(n, parity, r)
         warm = sp_certificate(n, parity, r)
         assert warm.checks == cold.checks
         assert str(warm.polynomial) == str(cold.polynomial)
+
+
+def test_every_sp_memo_is_cleared_by_the_cold_and_warm_test():
+    # the module's own memos; _summed_types serves class_sum only
+    memos = {name for name, f in vars(cs).items() if hasattr(f, "cache_clear") and f.__module__ == cs.__name__}
+    assert memos - {"_summed_types"} == {memo.__name__ for memo in _SP_MEMOS}
+
+
+def test_golden_ratios_are_new_dicts_on_every_call():
+    first = cs._golden_sp_ratios()
+    first[(2, "odd")]["t2"] = None
+    del first[(3, "even")]
+    assert cs._golden_sp_ratios()[(2, "odd")]["t2"] == (IntPolynomial((1,)), cs._OP * cs._OP)
+    assert (3, "even") in cs._golden_sp_ratios()
+
+
+def _tampered_tables(key, label, **changes):
+    """table_goldens with the named row of one table changed."""
+    tables = dict(table_goldens())
+    tables[key] = tuple(dataclasses.replace(row, **changes) if row.label == label else row for row in tables[key])
+    return lambda: tables
+
+
+def test_tampered_count_fails_loudly_after_warm_caches(monkeypatch):
+    # every memo warm first, so a memo keyed by the table instead of the
+    # count's values would let the tampered count through
+    for r in range(3):
+        sp_certificate(2, "odd", r)
+    monkeypatch.setattr(cs, "table_goldens", _tampered_tables((2, "odd"), "t3", count=lambda v: Fraction(v - 3)))
+    with pytest.raises(CertificateError, match="count-ratio-transcription-t3"):
+        sp_certificate(2, "odd", 2)
+
+
+def test_tampered_determinant_fails_loudly_after_warm_caches(monkeypatch):
+    for r in range(3):
+        sp_certificate(3, "even", r)
+    (row,) = [row for row in table_goldens()[(3, "even")] if row.label == "t8"]
+    extra = 1 - SymbolicPolynomial.variable("t") * SymbolicPolynomial.variable("q") ** 3
+    monkeypatch.setattr(cs, "table_goldens", _tampered_tables((3, "even"), "t8", det=row.det * extra))
+    with pytest.raises(CertificateError, match="count-ratio-transcription-t8"):
+        sp_certificate(3, "even", 2)
 
 
 def test_certificates_over_the_term_budget_are_refused_before_any_work():

@@ -457,6 +457,68 @@ def test_rational_solution_recovers_a_planted_solution(system, data):
             rational_solution([row[:-1] + [row[c], row[-1]] for row in system])
 
 
+def fraction_gauss_jordan(rows) -> list[Fraction] | None:
+    """The reference solve: Gauss-Jordan elimination over the Fractions,
+    pivoting on the first nonzero entry of each column, with the contract
+    of rational_solution."""
+    mat = [[Fraction(v) for v in row] for row in rows]
+    k = len(mat[0]) - 1
+    for col in range(k):
+        piv = next((r for r in range(col, len(mat)) if mat[r][col]), None)
+        if piv is None:
+            raise ValueError("linearly dependent columns: no unique solution")
+        mat[col], mat[piv] = mat[piv], mat[col]
+        head = mat[col]
+        inv = 1 / head[col]
+        head[col:] = [v * inv for v in head[col:]]
+        for r, row in enumerate(mat):
+            f = row[col]
+            if f and r != col:
+                row[col:] = [a - f * b for a, b in zip(row[col:], head[col:])]
+    if any(row[k] for row in mat[k:]):
+        return None
+    return [row[k] for row in mat[:k]]
+
+
+# zero in a third of the draws, so that pivots are skipped and systems are
+# often singular
+_system_entries = st.one_of(st.just(0), st.integers(-4, 4), st.fractions(-4, 4, max_denominator=6))
+
+
+@st.composite
+def _rational_systems(draw):
+    """Augmented rows of 1..6 unknowns and 0..3 rows more than unknowns:
+    free right-hand sides (mostly inconsistent once rows outnumber the
+    unknowns), right-hand sides a . x for a planted x, or a column that is a
+    multiple of another."""
+    k = draw(st.integers(1, 6))
+    m = k + draw(st.integers(0, 3))
+    a = draw(st.lists(st.lists(_system_entries, min_size=k, max_size=k), min_size=m, max_size=m))
+    shape = draw(st.sampled_from(["free", "planted", "dependent"]))
+    if shape == "dependent" and k > 1:
+        i, j = draw(st.permutations(range(k)))[:2]
+        c = draw(_system_entries)
+        a = [row[:j] + [c * row[i]] + row[j + 1 :] for row in a]
+    if shape == "planted":
+        x = draw(st.lists(_system_entries, min_size=k, max_size=k))
+        b = [sum(map(operator.mul, row, x)) for row in a]
+    else:
+        b = draw(st.lists(_system_entries, min_size=m, max_size=m))
+    return [row + [v] for row, v in zip(a, b)]
+
+
+@given(_rational_systems())
+@settings(max_examples=200, deadline=None)
+def test_rational_solution_matches_the_fraction_elimination(rows):
+    def outcome(solve):
+        try:
+            return solve([list(row) for row in rows])
+        except ValueError as exc:
+            return f"ValueError: {exc}"
+
+    assert outcome(rational_solution) == outcome(fraction_gauss_jordan)
+
+
 def test_rational_solution_small_cases():
     assert rational_solution([[2, 1], [4, 2]]) == [Fraction(1, 2)]
     assert rational_solution([[2, 1], [4, 3]]) is None
@@ -844,6 +906,21 @@ def test_divrem_identity_over_mixed_variable_orders(a, b, var, point):
     assert quo * den + rem == num
     assert _eval(quo, point) * _eval(den, point) + _eval(rem, point) == _eval(num, point)
     assert rem.degree_in(var) < den.degree_in(var)
+
+
+@given(st.lists(st.tuples(_polys(), _polys()), max_size=3), _polys(max_terms=6), st.lists(st.integers(-3, 3), max_size=3))
+@settings(max_examples=150, deadline=None)
+def test_sum_of_products_and_remainder_match_the_ring_operations(pairs, a, low):
+    pairs = [(SymbolicPolynomial(*p), SymbolicPolynomial(*q)) for p, q in pairs]
+    expected = sum((p * q for p, q in pairs), SymbolicPolynomial.constant(0))
+    assert SymbolicPolynomial.sum_of_products(pairs) == expected
+    # the remainder by a monic polynomial in one variable is divrem's
+    num, modulus = SymbolicPolynomial(*a), IntPolynomial([*low, 1])
+    for var in _POOL:
+        _, rem = num.divrem(SymbolicPolynomial.from_int_poly(modulus, var), var)
+        assert num.remainder(modulus, var) == rem
+    with pytest.raises(ValueError, match="monic"):
+        num.remainder(IntPolynomial([*low, 2]), "x")
 
 
 @given(_polys(max_terms=5), st.randoms(use_true_random=False))

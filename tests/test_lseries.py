@@ -1,11 +1,16 @@
 """Tests for L-values, the base-change polynomial, and exponential fits."""
 import math
+import os
+import pathlib
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import motivesums
 from motivesums import curves, verify
 from motivesums.classsums import class_sum
 from motivesums.curves import CurveDatum, h0_det
@@ -677,6 +682,27 @@ def test_multiplicity_fits_need_no_cyclotomic_inverse(monkeypatch):
     results = verify.check_multiplicity_counts()
     assert any(label.startswith("multiplicity-fit") for label, _ in results)
     assert all(passed for _, passed in results)
+
+
+def test_fit_over_a_common_conductor_past_the_budget_is_refused_at_once():
+    # each base's own index is inside the reduction budget, but their lcm,
+    # 1009 * 1013, is not: promoting the values to it must raise BudgetError
+    # before Phi_1022117 is built, which would take far longer than the
+    # timeout; a child process, so that an unbounded reduction fails
+    code = "\n".join([
+        "from motivesums.exactalg import BudgetError",
+        "from motivesums.lefschetz import CyclotomicRational",
+        "from motivesums.lseries import lefschetz_fit",
+        "zeta = CyclotomicRational.root_of_unity",
+        "try:",
+        "    lefschetz_fit([0, 0, 0], [zeta(1009), zeta(1013)])",
+        "except BudgetError as exc:",
+        "    print(exc)",
+    ])
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(motivesums.__file__).parents[1]))
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=20)
+    assert (run.returncode, run.stderr) == (0, "")
+    assert run.stdout == "index 1022117: one reduction modulo Phi_1022117 exceeds 1000000 steps\n"
 
 
 # ---------------------------------------------------------------------------
