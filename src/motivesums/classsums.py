@@ -482,20 +482,28 @@ def _det_jet(det: SymbolicPolynomial) -> tuple[IntPolynomial, ...]:
 
 
 @functools.cache
-def _det_product(det: SymbolicPolynomial, names: tuple[str, ...]):
-    """h, the product of det(a, x) over the a-variables names, and h(-1),
-    h'(-1) and h''(-1) (polynomials in the a-variables), built from the
-    product over all names but the last by the product rule."""
+def _det_product(det: SymbolicPolynomial, names: tuple[str, ...]) -> SymbolicPolynomial:
+    """h, the product of det(a, x) over the a-variables names, built from
+    the product over all names but the last."""
     if not names:
-        return _ONE, (_ONE, _ZERO, _ZERO)
+        return _ONE
     f = det.substitute({"t": SymbolicPolynomial.variable(names[-1]), "q": SymbolicPolynomial.variable("x")})
-    jet = tuple(SymbolicPolynomial.from_int_poly(j, names[-1]) for j in _det_jet(det))
+    return f if len(names) == 1 else _det_product(det, names[:-1]) * f
+
+
+@functools.cache
+def _det_product_jet(det: SymbolicPolynomial, names: tuple[str, ...]) -> tuple[SymbolicPolynomial, ...]:
+    """h(-1), h'(-1) and h''(-1) for h = _det_product(det, names), as
+    polynomials in the a-variables, built from those over all names but the
+    last by the product rule."""
+    if not names:
+        return _ONE, _ZERO, _ZERO
+    fv, f1, f2 = (SymbolicPolynomial.from_int_poly(j, names[-1]) for j in _det_jet(det))
     if len(names) == 1:
-        return f, jet
-    h, (v, d1, d2) = _det_product(det, names[:-1])
-    fv, f1, f2 = jet
+        return fv, f1, f2
+    v, d1, d2 = _det_product_jet(det, names[:-1])
     products = SymbolicPolynomial.sum_of_products
-    return h * f, (v * fv, products([(d1, fv), (v, f1)]), products([(d2, fv), (d1, 2 * f1), (v, f2)]))
+    return v * fv, products([(d1, fv), (v, f1)]), products([(d2, fv), (d1, 2 * f1), (v, f2)])
 
 
 @functools.cache
@@ -544,7 +552,6 @@ def sp_certificate(n: int, parity: str, r: int) -> SymbolicCertificate:
 
     # rows with equal determinants share one product h
     multipliers: dict[SymbolicPolynomial, IntPolynomial] = {}
-    at_minus_one = {}
     for row in rows:
         g_num, g_den = golden[row.label]
         match, witness = _transcription(tuple(map(row.count, _COUNT_POINTS)), row.det, g_num, g_den)
@@ -554,9 +561,8 @@ def sp_certificate(n: int, parity: str, r: int) -> SymbolicCertificate:
         except InexactDivision as exc:
             _require(checks, f"denominator-clearance-{row.label}", False, str(exc))
         multipliers[row.det] = multipliers.get(row.det, 0) + multiplier
-        at_minus_one[row.label] = _det_product(row.det, names)[1]
     total = SymbolicPolynomial.sum_of_products(
-        (SymbolicPolynomial.from_int_poly(multiplier, "x"), _det_product(det, names)[0])
+        (SymbolicPolynomial.from_int_poly(multiplier, "x"), _det_product(det, names))
         for det, multiplier in multipliers.items()
     )
 
@@ -574,8 +580,17 @@ def sp_certificate(n: int, parity: str, r: int) -> SymbolicCertificate:
             "all cleared coefficients divisible by 3",
         )
 
+    # the congruences make every step of the division by cleared_den, whose
+    # leading coefficient is the scalar, exact; rem = total - cleared_den *
+    # quo has total's remainder modulo each factor of cleared_den, and far
+    # fewer terms
+    quo, rem = total.divrem(SymbolicPolynomial.from_int_poly(cleared_den, "x"), "x")
+
+    def reduced(modulus: IntPolynomial) -> SymbolicPolynomial:
+        return rem.divrem(SymbolicPolynomial.from_int_poly(modulus, "x"), "x")[1]
+
     # total and its remainder modulo (1+x)^n agree at -1 to order n - 1
-    g = total.remainder(_OP**n, "x")
+    g = reduced(_OP**n)
     for order in range(n):
         value = g.substitute({"x": -1})
         _require(
@@ -586,20 +601,17 @@ def sp_certificate(n: int, parity: str, r: int) -> SymbolicCertificate:
         )
         g = g.derivative("x")
 
-    rem4 = total.remainder(_Q4, "x")
+    rem4 = reduced(_Q4)
     _require(checks, "fourth-root-vanishing", rem4.is_zero(), str(rem4))
     if n == 3:
-        rem6 = total.remainder(_Q6, "x")
+        rem6 = reduced(_Q6)
         _require(checks, "sixth-root-vanishing", rem6.is_zero(), str(rem6))
 
     mod2, mod3 = _freshman_congruences(n, names)
     if n == 3:
         _require(checks, "power-congruence-mod-3", mod3, "cube of product congruence")
     _require(checks, "power-congruence-mod-2", mod2, "square of product congruence")
-    _witness_conditions(n, parity, golden, at_minus_one, names, checks)
-
-    den_sym = SymbolicPolynomial.from_int_poly(cleared_den, "x")
-    quo, rem = total.divrem(den_sym, "x")
+    _witness_conditions(n, parity, golden, {row.label: row.det for row in rows}, names, checks)
     _require(checks, "integral-clearance", rem.is_zero(), str(rem))
 
     return SymbolicCertificate(
@@ -616,14 +628,22 @@ def _freshman_congruences(n: int, names: tuple[str, ...]) -> tuple[bool, bool]:
     """Whether the product of (1+a)^n over the a-variables is congruent to
     that of (1+a)^(n-2) (1+a^2) mod 2 and, for n = 3, to that of 1+a^3
     mod 3 (True for n = 2)."""
-    alphas = [SymbolicPolynomial.variable(name) for name in names]
-    power = math.prod(((1 + a) ** n for a in alphas), start=_ONE)
-    diff2 = power - math.prod(((1 + a) ** (n - 2) * (1 + a**2) for a in alphas), start=_ONE)
-    diff3 = power - math.prod((1 + a**3 for a in alphas), start=_ONE) if n == 3 else _ZERO
-    return diff2.content() % 2 == 0, diff3.content() % 3 == 0
+    power, square, cube = _freshman_products(n, names)
+    return (power - square).content() % 2 == 0, n == 2 or (power - cube).content() % 3 == 0
 
 
-def _witness_conditions(n, parity, golden, at_minus_one, names, checks: list[Check]):
+@functools.cache
+def _freshman_products(n: int, names: tuple[str, ...]) -> tuple[SymbolicPolynomial, ...]:
+    """The products of (1+a)^n, (1+a)^(n-2) (1+a^2) and 1+a^3 over the
+    a-variables, each built from the one over all names but the last."""
+    if not names:
+        return _ONE, _ONE, _ONE
+    a = SymbolicPolynomial.variable(names[-1])
+    power, square, cube = _freshman_products(n, names[:-1])
+    return power * (1 + a) ** n, square * ((1 + a) ** (n - 2) * (1 + a**2)), cube * (1 + a**3)
+
+
+def _witness_conditions(n, parity, golden, dets, names, checks: list[Check]):
     rows = _WITNESS_ROWS[(n, parity)]
     special = _WITNESS_SPECIAL.get((n, parity), {})
     per_label, closing = _ratio_witnesses(n, parity, tuple(golden[label] for label in (*rows, *special)))
@@ -631,7 +651,7 @@ def _witness_conditions(n, parity, golden, at_minus_one, names, checks: list[Che
     for (label, (_, _, h1_coeff, h2_coeffs)), ratio_checks in zip(rows.items(), per_label):
         for check in ratio_checks:
             _require(checks, check.label, check.passed, check.witness)
-        h0, h1, h2 = at_minus_one[label]
+        h0, h1, h2 = _det_product_jet(dets[label], names)
         _require(
             checks,
             f"derivative-witness-{label}",
@@ -656,7 +676,8 @@ def _witness_conditions(n, parity, golden, at_minus_one, names, checks: list[Che
     for label, ratio_checks in zip(special, per_label[len(rows) :]):
         for check in ratio_checks:
             _require(checks, check.label, check.passed, check.witness)
-        _require(checks, f"value-witness-{label}", at_minus_one[label][0] == mixed, "product of (1+a)(1+a^2)")
+        h0 = _det_product_jet(dets[label], names)[0]
+        _require(checks, f"value-witness-{label}", h0 == mixed, "product of (1+a)(1+a^2)")
     for check in closing:
         _require(checks, check.label, check.passed, check.witness)
 

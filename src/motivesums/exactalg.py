@@ -372,19 +372,29 @@ def _rational_div(a, lc):
 
 def poly_gcd(a: IntPolynomial, b: IntPolynomial) -> IntPolynomial:
     """Greatest common divisor over Z with positive leading coefficient: the
-    last divisor of the remainder sequence, made primitive and multiplied by
-    the gcd of the contents.  When one argument is zero, the other's
-    primitive part."""
-    g = a.coeffs  # the gcd when b is zero, as the sequence is then empty
-    for _, g, _ in remainder_sequence(a.coeffs, b.coeffs):
-        pass
-    if not g:
+    last nonzero remainder of the primitive pseudo-remainder sequence,
+    multiplied by the gcd of the contents.  When one argument is zero, the
+    other's primitive part.  Every step stays in the integers: f times
+    lc(g)^(deg f - deg g + 1) divides by g in exact steps, and each
+    remainder is divided by its content, signed so that its leading
+    coefficient is positive."""
+    f, g = (a.coeffs, b.coeffs) if len(a.coeffs) >= len(b.coeffs) else (b.coeffs, a.coeffs)
+    if not f:
         return IntPolynomial()
-    den = math.lcm(*(c.denominator for c in g))
-    g = [int(c * den) for c in g]
-    unit = math.gcd(*g) if g[-1] > 0 else -math.gcd(*g)
-    scale = math.gcd(a.content(), b.content()) if a.coeffs and b.coeffs else 1
-    return IntPolynomial(c // unit * scale for c in g)
+    scale = math.gcd(a.content(), b.content()) if g else 1
+    f, g = _primitive(f), _primitive(g)
+    while g:
+        power = g[-1] ** (len(f) - len(g) + 1)
+        f, g = g, _primitive(dense_divmod([c * power for c in f], g, operator.sub, operator.mul, exact_quotient)[1])
+    return IntPolynomial(c * scale for c in f)
+
+
+def _primitive(coeffs: Sequence[int]) -> list[int]:
+    """The coefficients divided by their content, the leading one positive."""
+    if not coeffs:
+        return []
+    unit = math.gcd(*coeffs) if coeffs[-1] > 0 else -math.gcd(*coeffs)
+    return [c // unit for c in coeffs]
 
 
 def resultant(p: IntPolynomial, q: IntPolynomial) -> int:
@@ -966,30 +976,6 @@ class SymbolicPolynomial:
             for e, c in qrow.items():
                 quo[e + base] = c
         return self._exact(tuple(order), quo), self._new(names, rem)
-
-    def remainder(self, modulus: IntPolynomial, var: str) -> "SymbolicPolynomial":
-        """The remainder of this polynomial on division by a monic
-        polynomial in var, which divrem would also give, in one pass over
-        the terms and without the quotient: var^d modulo it is formed once
-        per degree d (shifted_rows), and each term scatters its coefficient
-        over that residue."""
-        if not modulus.is_monic():
-            raise ValueError("modulus must be monic")
-        if not modulus.degree:
-            return SymbolicPolynomial.constant(0)
-        s = _shift(var)
-        low = modulus.coeffs[:-1]
-        powers = shifted_rows([1] + [0] * (len(low) - 1), low)
-        residues = [[(j << s, r) for j, r in enumerate(row) if r] for row in itertools.islice(powers, self.degree_in(var) + 1)]
-        out: dict[int, int] = {}
-        get = out.get
-        for e, c in self._packed.items():
-            d = e >> s & _FIELD
-            rest = e - (d << s)
-            for j, r in residues[d]:
-                k = rest + j
-                out[k] = get(k, 0) + r * c
-        return self._new(self.vars, {e: c for e, c in out.items() if c})
 
     def exact_div(self, divisor: "SymbolicPolynomial", var: str) -> "SymbolicPolynomial":
         q, r = self.divrem(divisor, var)

@@ -4,6 +4,7 @@ import hashlib
 import io
 import json
 import math
+import re
 import time
 from fractions import Fraction
 
@@ -366,9 +367,11 @@ _SP_MEMOS = (
     cs._cleared_multiplier,
     cs._det_jet,
     cs._det_product,
+    cs._det_product_jet,
     cs._rational_derivatives_at,
     cs._ratio_witnesses,
     cs._freshman_congruences,
+    cs._freshman_products,
     cs.derivative_witness,
 )
 
@@ -424,6 +427,19 @@ def test_tampered_determinant_fails_loudly_after_warm_caches(monkeypatch):
     monkeypatch.setattr(cs, "table_goldens", _tampered_tables((3, "even"), "t8", det=row.det * extra))
     with pytest.raises(CertificateError, match="count-ratio-transcription-t8"):
         sp_certificate(3, "even", 2)
+
+
+def test_a_total_without_its_zero_at_minus_one_fails_with_the_totals_value(monkeypatch):
+    # 6 more in every cleared multiplier keeps the congruences but adds
+    # 6 * h(-1) per row to the total's value at x = -1, which the check reads
+    # off the clearance remainder and must report as it is
+    real = cs._cleared_multiplier
+    monkeypatch.setattr(cs, "_cleared_multiplier", lambda *args: real(*args) + 6)
+    rows = table_goldens()[(2, "odd")]
+    value = 6 * sum((cs._det_product_jet(row.det, ("a1",))[0] for row in rows), start=SymbolicPolynomial.constant(0))
+    assert not value.is_zero()
+    with pytest.raises(CertificateError, match=re.escape(f"minus-one-vanishing-order-0 ({value})")):
+        sp_certificate(2, "odd", 1)
 
 
 def test_certificates_over_the_term_budget_are_refused_before_any_work():

@@ -370,6 +370,31 @@ def test_poly_gcd_divides_and_leaves_coprime_cofactors(a, b, c):
     assert g.leading() > 0
 
 
+def euclid_gcd(a: IntPolynomial, b: IntPolynomial) -> IntPolynomial:
+    """The reference gcd: the last divisor of Euclid's remainder sequence
+    over the rationals, made primitive with a positive leading coefficient,
+    times the gcd of the contents (the primitive part alone when one
+    argument is zero)."""
+    g = a.coeffs
+    for _, g, _ in exactalg.remainder_sequence(a.coeffs, b.coeffs):
+        pass
+    if not g:
+        return IntPolynomial()
+    den = math.lcm(*(c.denominator for c in g))
+    g = [int(c * den) for c in g]
+    unit = math.gcd(*g) if g[-1] > 0 else -math.gcd(*g)
+    scale = math.gcd(a.content(), b.content()) if a.coeffs and b.coeffs else 1
+    return IntPolynomial(c // unit * scale for c in g)
+
+
+@given(small_poly, small_poly, small_poly, st.integers(-3, 3))
+@settings(max_examples=300, deadline=None)
+def test_poly_gcd_matches_euclid_over_the_rationals(a, b, c, k):
+    # planted common factors and scalars, zero arguments and equal degrees
+    for x, y in ((a * c, b * c), (a * k, a * c), (a, IntPolynomial()), (IntPolynomial(), b)):
+        assert poly_gcd(x, y) == euclid_gcd(x, y)
+
+
 def test_resultant_known_values():
     # Res(x^2 - 1, x - 2) = value of x^2 - 1 at 2
     assert resultant(IntPolynomial((-1, 0, 1)), IntPolynomial((-2, 1))) == 3
@@ -908,19 +933,12 @@ def test_divrem_identity_over_mixed_variable_orders(a, b, var, point):
     assert rem.degree_in(var) < den.degree_in(var)
 
 
-@given(st.lists(st.tuples(_polys(), _polys()), max_size=3), _polys(max_terms=6), st.lists(st.integers(-3, 3), max_size=3))
+@given(st.lists(st.tuples(_polys(), _polys()), max_size=3))
 @settings(max_examples=150, deadline=None)
-def test_sum_of_products_and_remainder_match_the_ring_operations(pairs, a, low):
+def test_sum_of_products_matches_the_ring_operations(pairs):
     pairs = [(SymbolicPolynomial(*p), SymbolicPolynomial(*q)) for p, q in pairs]
     expected = sum((p * q for p, q in pairs), SymbolicPolynomial.constant(0))
     assert SymbolicPolynomial.sum_of_products(pairs) == expected
-    # the remainder by a monic polynomial in one variable is divrem's
-    num, modulus = SymbolicPolynomial(*a), IntPolynomial([*low, 1])
-    for var in _POOL:
-        _, rem = num.divrem(SymbolicPolynomial.from_int_poly(modulus, var), var)
-        assert num.remainder(modulus, var) == rem
-    with pytest.raises(ValueError, match="monic"):
-        num.remainder(IntPolynomial([*low, 2]), "x")
 
 
 @given(_polys(max_terms=5), st.randoms(use_true_random=False))
