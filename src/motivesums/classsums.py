@@ -9,22 +9,25 @@ with a witness; any failure raises CertificateError naming the condition.
 
 The types that class_sum adds up depend on the group and the parity of q
 only, so each is built once, with its centralizer motive, and memoized by
-value: the key is the group kind, its size and whether q is even.  The memo
-holds one entry per distinct key and is never evicted; the values are tuples
-of frozen types and motives, so a caller cannot change what another reads.
+value: the key is the group kind, its size and, for Sp, whether q is even.
+The memo holds one entry per distinct key and is never evicted; the values
+are tuples of frozen types and motives, so a caller cannot change what
+another reads.  The sum itself is one integer numerator over one
+denominator, made a Fraction once at the end.
 
 An Sp certificate's row data depends on values only, so each piece is
-computed once per distinct value and memoized: a count's interpolation by
-its values at the interpolation points, a determinant's specializations
-d(1, x), d(x, x) and its derivatives at q = -1 by the determinant, the
-product of det(a, x) over the a-variables and its derivatives at x = -1 by
-the determinant and the names, the ratio checks by the transcribed pairs,
-and the derivative witnesses and power congruences by the names.  No memo
-is keyed by the group and parity alone, so a changed count, determinant or
-ratio is checked afresh.  Each memo holds one entry per distinct key and is
-never evicted; the values are tuples, frozen checks and immutable
-polynomials, and the transcribed ratios are handed out as new dicts on
-every call.
+computed once per distinct value and memoized: a count's interpolation and
+transcription check by its values at the interpolation points, as integer
+(numerator, denominator) pairs, a determinant's specializations d(1, x),
+d(x, x) and its derivatives at q = -1 by the determinant, the product of
+det(a, x) over the a-variables by the determinant and the names, its
+derivatives at x = -1 by those and the highest order a check reads, the
+ratio checks by the transcribed pairs, and the derivative witnesses and
+power congruences by the names.  No memo is keyed by the group and parity
+alone, so a changed count, determinant or ratio is checked afresh.  Each
+memo holds one entry per distinct key and is never evicted; the values are
+tuples, frozen checks and immutable polynomials, and the transcribed ratios
+are handed out as new dicts on every call.
 """
 from __future__ import annotations
 
@@ -58,7 +61,7 @@ from .exactalg import (
     rational_solution,
     to_int_poly,
 )
-from .lseries import evaluate_with_weil_roots, j_variable_names, l_value
+from .lseries import _l_value_parts, evaluate_with_weil_roots, j_variable_names
 from .motives import ArtinTateMotive, parse_group_spec
 
 
@@ -144,16 +147,19 @@ def class_sum(spec, curve: CurveDatum) -> Fraction:
         raise ValueError("class sums require at least two splitting places")
     ((kind, size),) = spec.items()
     q = curve.q
-    total = Fraction(0)
-    for t, motive in _summed_types(kind, size, q % 2 == 0):
+    num, den = 0, 1
+    # SL types do not depend on the parity of q, so SL keys leave it out
+    for t, motive in _summed_types(kind, size, kind == "Sp" and q % 2 == 0):
         count = count_sl(size, t.pairs[0][0], q) if kind == "SL" else count_sp(t, q)
-        total += count * l_value(motive, curve)
-    return total
+        value_num, value_den = _l_value_parts(motive, curve)
+        num, den = num * value_den + count * value_num * den, den * value_den
+    return Fraction(num, den)
 
 
 @functools.cache
 def _summed_types(kind: str, size: int, q_even: bool) -> tuple[tuple[SLType | SpType, ArtinTateMotive], ...]:
-    """The types that class_sum adds up, each with its centralizer motive."""
+    """The types that class_sum adds up, each with its centralizer motive;
+    q_even, whether q is even, matters for Sp only."""
     if kind == "SL":
         if size < 1:
             raise ValueError("n must be positive")
@@ -451,11 +457,12 @@ def _det_at_one_and_x(det: SymbolicPolynomial) -> tuple[IntPolynomial, IntPolyno
 
 
 @functools.cache
-def _transcription(count_values: tuple[Fraction, ...], det, g_num: IntPolynomial, g_den: IntPolynomial):
+def _transcription(count_values: tuple[tuple[int, int], ...], det, g_num: IntPolynomial, g_den: IntPolynomial):
     """Whether count(x) * d(1, x) / d(x, x) equals g_num / g_den, for the
-    count with these values at _COUNT_POINTS and the determinant d(t, q),
-    and the numerator count * d(1, x) as text."""
-    num_count, den_count = _count_polynomial(count_values)
+    count with these values at _COUNT_POINTS, given as (numerator,
+    denominator) pairs, which hash faster than Fractions, and the
+    determinant d(t, q); and the numerator count * d(1, x) as text."""
+    num_count, den_count = _count_polynomial(tuple(Fraction(n, d) for n, d in count_values))
     d_one, d_x = _det_at_one_and_x(det)
     r_num = num_count * d_one
     return (r_num * g_den - g_num * (den_count * d_x)).is_zero(), str(r_num)
@@ -492,18 +499,23 @@ def _det_product(det: SymbolicPolynomial, names: tuple[str, ...]) -> SymbolicPol
 
 
 @functools.cache
-def _det_product_jet(det: SymbolicPolynomial, names: tuple[str, ...]) -> tuple[SymbolicPolynomial, ...]:
-    """h(-1), h'(-1) and h''(-1) for h = _det_product(det, names), as
-    polynomials in the a-variables, built from those over all names but the
-    last by the product rule."""
+def _det_product_jet(det: SymbolicPolynomial, names: tuple[str, ...], order: int) -> tuple[SymbolicPolynomial, ...]:
+    """h(-1) and its derivatives up to the given order, at most 2, for
+    h = _det_product(det, names), as polynomials in the a-variables, built
+    from those over all names but the last by the product rule."""
     if not names:
-        return _ONE, _ZERO, _ZERO
-    fv, f1, f2 = (SymbolicPolynomial.from_int_poly(j, names[-1]) for j in _det_jet(det))
+        return (_ONE, _ZERO, _ZERO)[: order + 1]
+    f = [SymbolicPolynomial.from_int_poly(j, names[-1]) for j in _det_jet(det)[: order + 1]]
     if len(names) == 1:
-        return fv, f1, f2
-    v, d1, d2 = _det_product_jet(det, names[:-1])
+        return tuple(f)
+    h = _det_product_jet(det, names[:-1], order)
     products = SymbolicPolynomial.sum_of_products
-    return v * fv, products([(d1, fv), (v, f1)]), products([(d2, fv), (d1, 2 * f1), (v, f2)])
+    jet = [h[0] * f[0]]
+    if order >= 1:
+        jet.append(products([(h[1], f[0]), (h[0], f[1])]))
+    if order >= 2:
+        jet.append(products([(h[2], f[0]), (h[1], 2 * f[1]), (h[0], f[2])]))
+    return tuple(jet)
 
 
 @functools.cache
@@ -554,7 +566,8 @@ def sp_certificate(n: int, parity: str, r: int) -> SymbolicCertificate:
     multipliers: dict[SymbolicPolynomial, IntPolynomial] = {}
     for row in rows:
         g_num, g_den = golden[row.label]
-        match, witness = _transcription(tuple(map(row.count, _COUNT_POINTS)), row.det, g_num, g_den)
+        values = tuple((v.numerator, v.denominator) for v in map(row.count, _COUNT_POINTS))
+        match, witness = _transcription(values, row.det, g_num, g_den)
         _require(checks, f"count-ratio-transcription-{row.label}", match, witness)
         try:
             multiplier = _cleared_multiplier(cleared_den, g_num, g_den)
@@ -651,21 +664,22 @@ def _witness_conditions(n, parity, golden, dets, names, checks: list[Check]):
     for (label, (_, _, h1_coeff, h2_coeffs)), ratio_checks in zip(rows.items(), per_label):
         for check in ratio_checks:
             _require(checks, check.label, check.passed, check.witness)
-        h0, h1, h2 = _det_product_jet(dets[label], names)
+        # h''(-1) is formed only for the rows whose checks read it (Sp_6)
+        jet = _det_product_jet(dets[label], names, 1 if h2_coeffs is None else 2)
         _require(
             checks,
             f"derivative-witness-{label}",
-            h1 == h1_coeff * witness.B,
+            jet[1] == h1_coeff * witness.B,
             f"first derivative coefficient {h1_coeff}",
         )
-        _require(checks, f"value-witness-{label}", h0 == witness.A, "product of (1+a)^k")
+        _require(checks, f"value-witness-{label}", jet[0] == witness.A, "product of (1+a)^k")
         if h2_coeffs is not None:
             c_ab, c_ac, c_ad = h2_coeffs
             claimed = c_ab * witness.B + c_ac * witness.C + c_ad * witness.D
             _require(
                 checks,
                 f"second-derivative-witness-{label}",
-                h2 == claimed,
+                jet[2] == claimed,
                 f"second derivative coefficients {h2_coeffs}",
             )
     if special:
@@ -676,7 +690,7 @@ def _witness_conditions(n, parity, golden, dets, names, checks: list[Check]):
     for label, ratio_checks in zip(special, per_label[len(rows) :]):
         for check in ratio_checks:
             _require(checks, check.label, check.passed, check.witness)
-        h0 = _det_product_jet(dets[label], names)[0]
+        (h0,) = _det_product_jet(dets[label], names, 0)
         _require(checks, f"value-witness-{label}", h0 == mixed, "product of (1+a)(1+a^2)")
     for check in closing:
         _require(checks, check.label, check.passed, check.witness)

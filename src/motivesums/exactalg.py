@@ -196,11 +196,14 @@ def factorize(n: int) -> list[tuple[int, int]]:
     return out
 
 
+@functools.lru_cache(maxsize=None, typed=True)
 def prime_power(q: int) -> tuple[int, int]:
     """The prime p and exponent k with q = p^k; ValueError when q is not a
     prime power.  The largest k with q a perfect k-th power is found by
     integer roots, and its root is tested by deterministic Miller-Rabin, which
-    raises ValueError for a probable prime root of MR_BOUND or more."""
+    raises ValueError for a probable prime root of MR_BOUND or more.
+    Memoized by value and type, so 2.0 and True never find the entry of an
+    int; a q that raises is never stored."""
     for k in range(max(q, 1).bit_length() - 1, 0, -1):
         r = _iroot(q, k)
         if r**k == q:
@@ -324,7 +327,10 @@ def _format_terms(names: Sequence[str], coeffs: Sequence[int], columns: Sequence
         powers = {e: f"*{v}" if e == 1 else f"*{v}^{e}" for e in set(col)}
         powers[0] = ""
         factors.append(map(powers.__getitem__, col))
-    bodies = map("".join, zip(*factors)) if factors else itertools.repeat("")
+    if len(factors) > 1:
+        bodies = map("".join, zip(*factors))
+    else:
+        bodies = factors[0] if factors else itertools.repeat("")
     return _signed_sum(
         (c, body[1:] if abs(c) == 1 and body else f"{abs(c)}{body}") for c, body in zip(coeffs, bodies)
     )
@@ -665,7 +671,9 @@ class SymbolicPolynomial:
     def from_int_poly(p: IntPolynomial, var: str) -> "SymbolicPolynomial":
         check_degree(p.degree)
         s = _shift(var)
-        return SymbolicPolynomial._new((var,), {i << s: c for i, c in enumerate(p.coeffs) if c})
+        # the degree fits a field, and var occurs exactly when it is positive
+        packed = {i << s: c for i, c in enumerate(p.coeffs) if c}
+        return SymbolicPolynomial._exact((var,) if p.degree > 0 else (), packed)
 
     # -- structure ----------------------------------------------------------
 
@@ -1006,7 +1014,8 @@ class SymbolicPolynomial:
             w = max(col, default=0).bit_length()
             keys = [k << w | e for k, e in zip(keys, col)]
             width += w
-        if graded:
+        # one variable's degree is its exponent, which already orders the terms
+        if graded and len(columns) > 1:
             width += max(columns[0], default=0).bit_length()
             keys = [d << width | k for d, k in zip(map(sum, zip(*columns)), keys)]
         order = sorted(range(len(monos)), key=keys.__getitem__)

@@ -6,19 +6,22 @@ places evaluated at t = 1, and a twisted quotient for the twisting places
 evaluated at t = q.  Both quotients are divided piece by piece before
 anything is multiplied: a place of degree e contributes c_e(U^e) for a
 piece (w, c), in the one variable U = t * q^(w-1), and c(U) divides the
-first place's factor exactly (curves.h0_quotient_factors).  Each factor is
-then evaluated on its own, so vanishing emerges from the arithmetic rather
-than from special cases.
+first place's factor exactly (curves.h0_quotient_factors).  With q = x,
+the factors of each place list make one integer polynomial in x, memoized
+by the place degrees and the motive (curves.h0_quotient_in_x): l_value
+evaluates it at x = q and z_polynomial keeps it, so vanishing emerges from
+the arithmetic rather than from special cases.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from fractions import Fraction
 from typing import Sequence
 
-from .curves import CurveDatum, h0_det, h0_quotient_factors
-from .exactalg import IntPolynomial, SymbolicPolynomial, rational_solution, resultant, shifted_rows
+from .curves import CurveDatum, h0_det, h0_quotient_in_x
+from .exactalg import IntPolynomial, SymbolicPolynomial, rational_solution, resultant, shifted_rows, to_int_poly
 from .lefschetz import CyclotomicRational, LefschetzFunction
 from .motives import ArtinTateMotive, motive_of, parse_group_spec
 
@@ -30,10 +33,20 @@ class NotPolynomial(ArithmeticError):
 
 def weil_root_product(curve: CurveDatum, poly: IntPolynomial) -> int:
     """Product of poly over the inverse roots of the curve's Weil numerator,
-    computed exactly as a resultant against the monic reciprocal."""
+    exactly.  Genus 1 reduces poly modulo the monic reciprocal
+    w = y^2 + w1*y + w0 by Horner's rule, to a + b*y in Z[y]/(w), and takes
+    its norm (a + b*r)(a + b*s) = a^2 - w1*a*b + w0*b^2 over the roots r, s
+    of w, as r + s = -w1 and r*s = w0.  Higher genus takes the resultant
+    against the monic reciprocal."""
     w = curve.weil_reciprocal()
     if w.degree == 0:
         return 1
+    if w.degree == 2:
+        w0, w1, _ = w.coeffs
+        a = b = 0
+        for c in reversed(poly.coeffs):
+            a, b = c - w0 * b, a - w1 * b
+        return a * a - w1 * a * b + w0 * b * b
     return resultant(w, poly)
 
 
@@ -42,10 +55,17 @@ def l_value(motive: ArtinTateMotive, curve: CurveDatum) -> Fraction:
     arithmetic with one Fraction at the end.
 
     F2 and F3 are products of the per-piece quotient factors F(U) of
-    curves.h0_quotient_factors at U = q^(w-1) and U = q^w.  Without
-    twisting places F3 is 1 / prod c(q^w) over the pieces.  F1 is the
-    product over pieces of weil_root_product(c(t * q^(w-1))), as the
-    resultant is multiplicative; genus 0 has no Weil roots and F1 = 1."""
+    curves.h0_quotient_factors at U = q^(w-1) and U = q^w, read off
+    curves.h0_quotient_in_x at x = q.  Without twisting places F3 is
+    1 / prod c(q^w) over the pieces.  F1 is the product over pieces of
+    weil_root_product(c(t * q^(w-1))), as the resultant is multiplicative;
+    genus 0 has no Weil roots and F1 = 1."""
+    return Fraction(*_l_value_parts(motive, curve))
+
+
+def _l_value_parts(motive: ArtinTateMotive, curve: CurveDatum) -> tuple[int, int]:
+    """l_value as an integer numerator and a nonzero integer denominator,
+    not reduced."""
     q = curve.q
     f1 = 1
     if curve.genus:
@@ -55,14 +75,13 @@ def l_value(motive: ArtinTateMotive, curve: CurveDatum) -> Fraction:
             )
             for p in motive.pieces
         )
-    f2 = math.prod(f.evaluate(q ** (w - 1)) for f, w in h0_quotient_factors(curve.s_degrees, motive))
+    f2 = h0_quotient_in_x(curve.s_degrees, motive, 0).evaluate(q)
     if curve.t_degrees:
-        f3 = math.prod(f.evaluate(q**w) for f, w in h0_quotient_factors(curve.t_degrees, motive))
-        return Fraction(f1 * f2 * f3)
+        return f1 * f2 * h0_quotient_in_x(curve.t_degrees, motive, 1).evaluate(q), 1
     denom = math.prod(p.charpoly.evaluate(q**p.weight) for p in motive.pieces)
     if denom == 0:
         raise ZeroDivisionError("weight >= 1 eigenvalues cannot hit 1 at t = q")
-    return Fraction(f1 * f2, denom)
+    return f1 * f2, denom
 
 
 def j_variable_names(arity: int) -> tuple[str, ...]:
@@ -80,24 +99,24 @@ def z_polynomial(
     curves.h0_quotient_factors becomes F(x^(w-1)) for a splitting place (the
     constant F(1) when w = 1) and F(x^w) for a twisting place.  Only F1, the
     product over a_i of the Frobenius determinant at t = a_i and q = x, is
-    built symbolically.
+    built symbolically, and only when there are J-variables.
 
     Raises NotPolynomial when the twisting list is empty and the value is
     genuinely rational.
     """
-    f1 = math.prod(
-        (h0_det((1,), motive, t=name, q="x") for name in j_variable_names(symbolic_j)),
-        start=SymbolicPolynomial.constant(1),
-    )
-
-    f23 = [
-        f.substitute_power(w - 1) if w > 1 else f.evaluate(1) for f, w in h0_quotient_factors(curve.s_degrees, motive)
-    ]
+    f23 = h0_quotient_in_x(curve.s_degrees, motive, 0)
     if curve.t_degrees:
-        f23 += [f.substitute_power(w) for f, w in h0_quotient_factors(curve.t_degrees, motive)]
+        f23 = f23 * h0_quotient_in_x(curve.t_degrees, motive, 1)
     elif any(p.charpoly.degree > 0 for p in motive.pieces):
         raise NotPolynomial("rational, not polynomial: empty twisting list")
-    return f1 * SymbolicPolynomial.from_int_poly(math.prod(f23, start=IntPolynomial((1,))), "x")
+    z = SymbolicPolynomial.from_int_poly(f23, "x")
+    return _symbolic_f1(motive, symbolic_j) * z if symbolic_j > 0 else z
+
+
+@functools.cache
+def _symbolic_f1(motive: ArtinTateMotive, symbolic_j: int) -> SymbolicPolynomial:
+    """z_polynomial's F1, memoized by the motive and the arity."""
+    return math.prod(h0_det((1,), motive, t=name, q="x") for name in j_variable_names(symbolic_j))
 
 
 def symmetric_pair_eval(
@@ -151,7 +170,7 @@ def evaluate_with_weil_roots(
     if len(j_names) != w.degree:
         raise ValueError("arity does not match the number of Weil roots")
     if w.degree == 0:
-        return poly.evaluate({"x": x_value})
+        return Fraction(to_int_poly(poly, "x").evaluate(x_value))
     if w.degree == 2:
         return symmetric_pair_eval(poly, (j_names[0], j_names[1]), w, {"x": x_value})
     raise ValueError("only genus 0 and 1 evaluations are supported")

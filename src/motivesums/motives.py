@@ -4,10 +4,19 @@ A graded piece carries a weight d and a characteristic polynomial c_d(u) in Z[u]
 with c_d(0) = 1 whose inverse roots are roots of unity.  A group's data is the
 multiset of pieces coming from its invariant-degree exponents; products add
 piece-wise and restriction of scalars rescales the Frobenius variable.
+
+A motive is a memo key throughout the package, so ArtinTateMotive computes
+its hash once, at construction, from its merged and sorted pieces: equal
+motives hash equal however they were built.  motive_of memoizes the motive
+of a group description on a key that tags every value with its type, so
+True, 2.0 and "2" never find the entry of 2; a description that raises is
+never stored.  The memo holds one entry per distinct description and is
+never evicted; its values are frozen motives.
 """
 from __future__ import annotations
 
 import dataclasses
+import functools
 
 from .curves import h0_det, h0_factors
 from .exactalg import IntPolynomial, SymbolicPolynomial
@@ -39,6 +48,7 @@ class ArtinTateMotive:
     """Finite multiset of graded pieces, stored merged by weight and sorted."""
 
     pieces: tuple[GradedPiece, ...]
+    _hash: int = dataclasses.field(init=False, repr=False, compare=False)
 
     def __init__(self, pieces):
         merged: dict[int, GradedPiece] = {}
@@ -47,6 +57,10 @@ class ArtinTateMotive:
         object.__setattr__(
             self, "pieces", tuple(merged[w] for w in sorted(merged))
         )
+        object.__setattr__(self, "_hash", hash(self.pieces))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def direct_sum(self, other: "ArtinTateMotive") -> "ArtinTateMotive":
         return ArtinTateMotive(self.pieces + other.pieces)
@@ -112,8 +126,43 @@ def motive_of(spec: dict) -> ArtinTateMotive:
     >>> [(p.weight, p.charpoly.coeffs) for p in motive_of({"Res": [2, {"U": 1}]}).pieces]
     [(1, (1, 0, 1))]
     """
-    spec = parse_group_spec(spec)
+    return _motive_of(_tagged(spec))
+
+
+def _tagged(value):
+    """A group description as nested (type, value) pairs, dicts and lists as
+    tuples of their tagged items; ValueError for a value that cannot be part
+    of a key."""
+    kind = type(value)
+    if kind is int or kind is str:
+        return kind, value
+    if isinstance(value, dict):
+        return dict, tuple([(_tagged(k), _tagged(v)) for k, v in value.items()])
+    if isinstance(value, list):
+        return list, tuple([_tagged(v) for v in value])
+    try:
+        hash(value)
+    except TypeError:
+        raise ValueError(f"group descriptions hold JSON values, not {value!r}") from None
+    return kind, value
+
+
+def _untagged(key):
+    kind, value = key
+    if kind is dict:
+        return {_untagged(k): _untagged(v) for k, v in value}
+    if kind is list:
+        return [_untagged(v) for v in value]
+    return value
+
+
+@functools.cache
+def _motive_of(key) -> ArtinTateMotive:
+    """motive_of of the tagged description key; a nested group recurses on
+    its own tagged key."""
+    spec = parse_group_spec(_untagged(key))
     (kind, arg), = spec.items()
+    ((_, (_, inner_keys)),) = key[1]
     if kind == "GL":
         n = _positive_int(arg, "GL rank")
         return ArtinTateMotive(GradedPiece(d, ONE_MINUS_U) for d in range(1, n + 1))
@@ -139,14 +188,13 @@ def motive_of(spec: dict) -> ArtinTateMotive:
     if kind == "Res":
         if not isinstance(arg, list) or len(arg) != 2:
             raise ValueError("scalar restriction takes [degree, group]")
-        d, inner = arg
-        return motive_of(inner).induce(_positive_int(d, "restriction degree"))
+        return _motive_of(inner_keys[1]).induce(_positive_int(arg[0], "restriction degree"))
     if kind == "Product":
         if not isinstance(arg, list) or not arg:
             raise ValueError("product takes a nonempty list of groups")
-        acc = motive_of(arg[0])
-        for inner in arg[1:]:
-            acc = acc.direct_sum(motive_of(inner))
+        acc = _motive_of(inner_keys[0])
+        for inner in inner_keys[1:]:
+            acc = acc.direct_sum(_motive_of(inner))
         return acc
     raise ValueError(f"unknown group kind {kind!r}")
 

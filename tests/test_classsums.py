@@ -25,6 +25,8 @@ from motivesums.classsums import (
     sp_certificate,
 )
 from motivesums.classtypes import (
+    count_sl,
+    count_sp,
     enumerate_sl_types,
     enumerate_sp_types,
     sl_centralizer_motive,
@@ -91,6 +93,21 @@ def test_class_sum_preconditions():
         class_sum({"SL": 2}, CurveDatum(q=3, weil_numerator=[1], s_degrees=(1, 1), t_degrees=(1,)))
     with pytest.raises(ValueError):
         class_sum({"GL": 2}, projective_line(3))
+
+
+@pytest.mark.parametrize("spec", [{"SL": n} for n in range(1, 7)] + [{"Sp": 4}, {"Sp": 6}], ids=str)
+def test_class_sum_is_the_fraction_sum_of_its_l_values(spec):
+    # one numerator over one denominator against a Fraction per type
+    ((kind, size),) = spec.items()
+    curve_data = (projective_line(4), projective_line(9), elliptic(5, 2), elliptic(8, -3), elliptic(7, 0).base_change(2))
+    for curve in curve_data:
+        q = curve.q
+        expected = sum(
+            (count_sl(size, t.pairs[0][0], q) if kind == "SL" else count_sp(t, q)) * l_value(motive, curve)
+            for t, motive in cs._summed_types(kind, size, q % 2 == 0)
+        )
+        value = class_sum(spec, curve)
+        assert type(value) is Fraction and value == expected
 
 
 def test_sp_table_rows_reproduce_class_sum():
@@ -436,7 +453,7 @@ def test_a_total_without_its_zero_at_minus_one_fails_with_the_totals_value(monke
     real = cs._cleared_multiplier
     monkeypatch.setattr(cs, "_cleared_multiplier", lambda *args: real(*args) + 6)
     rows = table_goldens()[(2, "odd")]
-    value = 6 * sum((cs._det_product_jet(row.det, ("a1",))[0] for row in rows), start=SymbolicPolynomial.constant(0))
+    value = 6 * sum((cs._det_product_jet(row.det, ("a1",), 0)[0] for row in rows), start=SymbolicPolynomial.constant(0))
     assert not value.is_zero()
     with pytest.raises(CertificateError, match=re.escape(f"minus-one-vanishing-order-0 ({value})")):
         sp_certificate(2, "odd", 1)

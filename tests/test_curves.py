@@ -1,10 +1,13 @@
 """Tests for curve data and base change."""
+import dataclasses
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from motivesums.cli import _curve_from
-from motivesums.curves import CurveDatum, charpoly_of_power, h0_det, h0_quotient_factors
+from motivesums.curves import CurveDatum, charpoly_of_power, h0_det, h0_quotient_factors, h0_quotient_in_x
 from motivesums.exactalg import IntPolynomial, SymbolicPolynomial, cyclotomic
 from motivesums.motives import ArtinTateMotive, GradedPiece, motive_of
 
@@ -141,3 +144,63 @@ def test_charpoly_divides_its_powered_substitution(ds, e, weight):
 def test_quotient_factors_need_a_place():
     with pytest.raises(ValueError):
         h0_quotient_factors((), motive_of({"SL": 2}))
+
+
+def _quotient_factors_per_motive(degrees, motive):
+    """The per-(degree tuple, motive) route that place factors replaced: each
+    place's c_e(U^e) for every piece, the first place's divided by c(U)."""
+    out = []
+    for i, e in enumerate(degrees):
+        for p in motive.pieces:
+            f = charpoly_of_power(p.charpoly, e).substitute_power(e)
+            if i == 0:
+                f = f / p.charpoly
+            if f.degree > 0:
+                out.append((f, p.weight))
+    return tuple(out)
+
+
+_PIECES = st.builds(
+    GradedPiece,
+    st.integers(1, 4),
+    st.lists(st.integers(1, 12), min_size=1, max_size=3).map(
+        lambda ds: math.prod(map(_unit_cyclotomic, ds), start=IntPolynomial((1,)))
+    ),
+)
+
+
+@given(st.lists(_PIECES, max_size=4), st.lists(st.integers(1, 6), min_size=1, max_size=4))
+@settings(max_examples=200, deadline=None)
+def test_quotient_factors_match_the_per_motive_route(pieces, degrees):
+    motive = ArtinTateMotive(pieces)
+    expected = _quotient_factors_per_motive(degrees, motive)
+    assert h0_quotient_factors(degrees, motive) == expected
+    # the factors at q = x and t = x^k, multiplied out: the x-polynomial
+    # that l_value evaluates and z_polynomial keeps
+    for t_power in (0, 1):
+        product = IntPolynomial((1,))
+        for f, w in expected:
+            k = t_power + w - 1
+            product = product * (f.substitute_power(k) if k else f.evaluate(1))
+        assert h0_quotient_in_x(degrees, motive, t_power) == product
+
+
+def test_quotient_factors_of_the_benchmark_groups_match_the_per_motive_route():
+    specs = [{"SL": n} for n in range(2, 7)] + [{"Sp": 4}, {"Sp": 6}, {"GL": 2}, {"GL": 3}, {"U": 2}, {"U": 3}]
+    specs += [{"Res": [2, {"U": 2}]}, {"Res": [2, {"GL": 2}]}, {"Res": [3, {"SL": 2}]}]
+    for spec in specs:
+        for degrees in ((1,), (1, 1), (2,), (1, 2), (3,), (1, 3), (2, 3), (1, 1, 1), (3, 3, 1, 1, 1)):
+            motive = motive_of(spec)
+            assert h0_quotient_factors(degrees, motive) == _quotient_factors_per_motive(degrees, motive)
+
+
+def test_weil_reciprocal_is_kept_and_left_out_of_equality():
+    curve = CurveDatum(q=3, weil_numerator=[1, 2, 3], s_degrees=(1, 2), t_degrees=(1,))
+    assert curve.weil_reciprocal() == IntPolynomial((3, 2, 1))
+    assert curve.weil_reciprocal() is curve.weil_reciprocal()
+    changed = curve.base_change(2)
+    assert changed.weil_reciprocal() == changed.weil_numerator.reversed_coeffs()
+    twin = CurveDatum(q=3, weil_numerator=IntPolynomial((1, 2, 3)), s_degrees=[1, 2], t_degrees=[1])
+    assert twin == curve and hash(twin) == hash(curve)
+    assert "reciprocal" not in repr(curve)
+    assert [f.name for f in dataclasses.fields(curve) if f.compare] == ["q", "weil_numerator", "s_degrees", "t_degrees"]

@@ -251,6 +251,15 @@ def test_prime_power_of_large_fields_is_fast():
             prime_power(q)
 
 
+def test_prime_power_memo_tells_types_apart():
+    # memoized by value and type: with 4 stored, 4.0 still fails as before
+    assert prime_power(4) == (2, 2)
+    with pytest.raises(AttributeError):
+        prime_power(4.0)
+    with pytest.raises(ValueError, match="not a prime power"):
+        prime_power(True)
+
+
 def test_prime_power_refuses_roots_beyond_the_primality_bound():
     big = 2**89 - 1  # prime, above the deterministic Miller-Rabin range
     assert big > exactalg.MR_BOUND

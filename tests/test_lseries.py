@@ -14,7 +14,7 @@ import motivesums
 from motivesums import curves, verify
 from motivesums.classsums import class_sum
 from motivesums.curves import CurveDatum, h0_det
-from motivesums.exactalg import IntPolynomial, SymbolicPolynomial, power_by_squaring, to_int_poly
+from motivesums.exactalg import IntPolynomial, SymbolicPolynomial, power_by_squaring, resultant, to_int_poly
 from motivesums.lefschetz import CyclotomicRational, LefschetzFunction
 from motivesums.lseries import (
     NotPolynomial,
@@ -93,6 +93,48 @@ def test_weil_root_product_in_genus_two(poly, m):
     value = weil_root_product(curve, poly)
     assert type(value) is int
     assert value == sylvester_resultant(curve.weil_reciprocal(), poly)
+
+
+# genus-1 reciprocals y^2 + w1*y + q, q a prime power: any middle
+# coefficient, split as (y - r)(y - s) with r*s = q, or a double root r with
+# r^2 = q; a valid Weil numerator needs only q^1 as its leading coefficient
+_PRIMES = st.sampled_from([2, 3, 5, 7, 11, 13])
+
+
+@st.composite
+def _genus_one_reciprocals(draw):
+    p = draw(_PRIMES)
+    shape = draw(st.sampled_from(["general", "split", "double"]))
+    if shape == "general":
+        q = p ** draw(st.integers(1, 3))
+        return q, draw(st.integers(-40, 40))
+    sign = draw(st.sampled_from([1, -1]))
+    if shape == "split":
+        i, j = draw(st.integers(0, 3)), draw(st.integers(0, 3))
+        assume(i + j >= 1)
+        r, s = sign * p**i, sign * p**j
+    else:
+        r = s = sign * p ** draw(st.integers(1, 2))
+    return r * s, -(r + s)
+
+
+@given(
+    _genus_one_reciprocals(),
+    st.lists(st.integers(-30, 30), min_size=1, max_size=9).map(IntPolynomial),
+    st.integers(1, 3),
+)
+@settings(max_examples=400, deadline=None)
+def test_weil_root_product_in_genus_one_is_the_resultant(reciprocal, poly, m):
+    # the norm of poly mod w in Z[y]/(w) against the Bareiss resultant, for
+    # polynomials of degree at most 8, on the curve and its base changes
+    assume(not poly.is_zero())
+    q, w1 = reciprocal
+    curve = CurveDatum(q, [1, w1, q], (1, 1)).base_change(m)
+    w = curve.weil_reciprocal()
+    assert w.degree == 2 and w.is_monic()
+    value = weil_root_product(curve, poly)
+    assert type(value) is int
+    assert value == resultant(w, poly)
 
 
 def _l_value_reference(motive, curve):

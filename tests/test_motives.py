@@ -1,6 +1,7 @@
 """Tests for weight-graded Frobenius data of groups."""
 import pytest
 
+from motivesums import motives
 from motivesums.exactalg import IntPolynomial, SymbolicPolynomial
 from motivesums.motives import ArtinTateMotive, GradedPiece, motive_of
 
@@ -121,3 +122,54 @@ def test_bad_specs_rejected():
     for bad in ({"GL": 0}, {"XX": 2}, {"Res": [2]}, {"Product": []}, {"GL": 2, "SL": 2}):
         with pytest.raises(ValueError):
             motive_of(bad)
+
+
+def test_equal_motives_from_different_routes_hash_equal():
+    one_minus = IntPolynomial((1, -1))
+    one_plus = IntPolynomial((1, 1))
+    # GL_2 as given, with its pieces listed backwards, and as GL_1 x SL_2;
+    # Res_2 GL_1 as one piece 1 - u^2 and as two weight-1 pieces merged
+    routes = [
+        [
+            motive_of({"GL": 2}),
+            ArtinTateMotive([GradedPiece(2, one_minus), GradedPiece(1, one_minus)]),
+            motive_of({"Product": [{"GL": 1}, {"SL": 2}]}),
+        ],
+        [
+            motive_of({"Res": [2, {"GL": 1}]}),
+            ArtinTateMotive([GradedPiece(1, one_minus), GradedPiece(1, one_plus)]),
+            motive_of({"Product": [{"GL": 1}, {"U": 1}]}),
+            ArtinTateMotive([GradedPiece(1, IntPolynomial((1, 0, -1)))]),
+        ],
+    ]
+    table = {}
+    for label, motives in enumerate(routes):
+        assert len(set(motives)) == 1
+        assert len({hash(m) for m in motives}) == 1
+        table[motives[0]] = label
+    for label, motives in enumerate(routes):
+        assert [table[m] for m in motives] == [label] * len(motives)
+    assert routes[0][0] != routes[1][0]
+
+
+def test_the_motive_memo_tells_value_types_apart():
+    # with {"SL": 2} and {"SL": 1} stored, a bool, a float or a string in
+    # the same place is still refused, not served the int's motive
+    assert weights(motive_of({"SL": 2})) == [2]
+    assert motive_of({"SL": 1}).pieces == ()
+    for bad in ({"SL": True}, {"SL": 2.0}, {"SL": "2"}, {"Res": [2.0, {"SL": 2}]}, {"Res": [True, {"SL": 2}]}):
+        with pytest.raises(ValueError, match="must be a positive integer"):
+            motive_of(bad)
+    assert motive_of({"SL": 2}) is motive_of({"SL": 2})
+
+
+def test_a_refused_description_is_not_stored():
+    stored = motives._motive_of.cache_info().currsize
+    for _ in range(2):
+        with pytest.raises(ValueError, match="symplectic size must be even"):
+            motive_of({"Sp": 5})
+        with pytest.raises(ValueError, match="must be a positive integer"):
+            motive_of({"GL": 2.0})
+    with pytest.raises(ValueError, match="JSON values"):
+        motive_of({"SL": {2}})
+    assert motives._motive_of.cache_info().currsize == stored
