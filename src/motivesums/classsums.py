@@ -54,6 +54,7 @@ from .exactalg import (
     BudgetError,
     InexactDivision,
     IntPolynomial,
+    InvariantError,
     SymbolicPolynomial,
     check_degree,
     factorize,
@@ -443,7 +444,7 @@ def _count_polynomial(values: tuple[Fraction, ...]):
         [x**d for d in range(_COUNT_DEGREE + 1)] + [v] for x, v in zip(_COUNT_POINTS, values)
     )
     if coeffs is None:
-        raise ArithmeticError("count is not polynomial of the expected degree")
+        raise InvariantError("count is not polynomial of the expected degree")
     lcm = math.lcm(*(c.denominator for c in coeffs))
     return IntPolynomial(int(c * lcm) for c in coeffs), lcm
 

@@ -15,7 +15,7 @@ import math
 from fractions import Fraction
 from typing import Iterable
 
-from .exactalg import SymbolicPolynomial, exact_quotient, factorize
+from .exactalg import InvariantError, SymbolicPolynomial, exact_quotient, factorize
 from .motives import ArtinTateMotive, motive_of
 
 
@@ -73,7 +73,8 @@ def sl_centralizer_motive(t: SLType) -> ArtinTateMotive:
     """Frobenius data of the centralizer: the direct sum of degree-d scalar
     restrictions of GL(a) blocks with one trivial weight-1 eigenvalue
     removed."""
-    return motive_of({"Product": [{"Res": [d, {"GL": a}]} for d, a in t.pairs]}).quotient_trivial()
+    blocks = [motive_of({"GL": a}).induce(d) for d, a in t.pairs]
+    return functools.reduce(ArtinTateMotive.direct_sum, blocks).quotient_trivial()
 
 
 def count_sl(n: int, d: int, q: int) -> int:
@@ -86,7 +87,7 @@ def count_sl(n: int, d: int, q: int) -> int:
         total += moebius(d // e) * math.gcd(n // e, q - 1) * (q**e - 1) // (q - 1)
     quot = exact_quotient(total, d)
     if quot < 0:
-        raise ArithmeticError(f"class count {quot} is negative")
+        raise InvariantError(f"class count {quot} is negative")
     return quot
 
 
@@ -146,16 +147,10 @@ def enumerate_sp_types(n: int, q_even: bool) -> list[SpType]:
 def sp_centralizer_motive(t: SpType) -> ArtinTateMotive:
     """Frobenius data of Sp(2a+) x Sp(2a-) x scalar-restricted unitary and
     general-linear blocks."""
-    specs = []
-    if t.a_plus:
-        specs.append({"Sp": 2 * t.a_plus})
-    if t.a_minus:
-        specs.append({"Sp": 2 * t.a_minus})
-    for d, b in t.unitary_pairs:
-        specs.append({"Res": [d, {"U": b}]})
-    for e, c in t.gl_pairs:
-        specs.append({"Res": [e, {"GL": c}]})
-    return motive_of({"Product": specs}) if specs else ArtinTateMotive(())
+    blocks = [motive_of({"Sp": 2 * a}) for a in (t.a_plus, t.a_minus) if a]
+    blocks += [motive_of({"U": b}).induce(d) for d, b in t.unitary_pairs]
+    blocks += [motive_of({"GL": c}).induce(e) for e, c in t.gl_pairs]
+    return functools.reduce(ArtinTateMotive.direct_sum, blocks, ArtinTateMotive(()))
 
 
 # ---------------------------------------------------------------------------
@@ -214,7 +209,7 @@ def count_sp(t: SpType, q: int) -> int:
                 den *= math.factorial(bs.count(mult))
     value = exact_quotient(num, den)
     if value < 0:
-        raise ArithmeticError(f"class count {value} is negative")
+        raise InvariantError(f"class count {value} is negative")
     return value
 
 

@@ -31,7 +31,7 @@ import functools
 import math
 from typing import TYPE_CHECKING, Iterable
 
-from .exactalg import IntPolynomial, SymbolicPolynomial, prime_power, root_power_transform
+from .exactalg import IntPolynomial, InvariantError, SymbolicPolynomial, prime_power, root_power_transform
 
 if TYPE_CHECKING:
     from .motives import ArtinTateMotive
@@ -116,7 +116,7 @@ def charpoly_of_power(c: IntPolynomial, e: int) -> IntPolynomial:
         return c
     out = root_power_transform(c.reversed_coeffs(), e).reversed_coeffs()
     if out.coeffs[0] != 1:
-        raise ArithmeticError("powered characteristic polynomial lost its normalization")
+        raise InvariantError("powered characteristic polynomial lost its normalization")
     return out
 
 

@@ -10,9 +10,12 @@ checks), the rationals and finite fields.  One step, shifted_rows, does every
 multiplication by y modulo a monic polynomial.  root_power_transform, the step
 behind base change of a Weil numerator, works through power sums and
 Newton's identities in integer arithmetic only.  exact_quotient is the one
-exact integer division of the package, and rational_solution its one
-linear solve: fraction-free Gauss-Jordan elimination over the integers
-(Bareiss 1968), which forms a Fraction only for each unknown at the end.
+exact integer division of the package, and _gauss_jordan its one
+elimination: fraction-free Gauss-Jordan over the integers (Bareiss 1968),
+every division checked by exact_quotient.  It takes the determinant for
+resultant and solves for rational_solution, the one linear solve, which
+forms a Fraction only for each unknown at the end.  The primitive
+pseudo-remainder sequence of poly_gcd is the one remainder sequence.
 
 Multivariate polynomials are sparse: a tuple of variable names plus a map from
 packed monomials to nonzero integer coefficients.  A packed monomial is one
@@ -358,24 +361,6 @@ def cyclotomic(n: int) -> IntPolynomial:
     return poly
 
 
-def remainder_sequence(a, b):
-    """Euclid's algorithm over Q on coefficient sequences in ascending order,
-    b without trailing zeros: yields (quotient, divisor, remainder) of each
-    dense_divmod step until a remainder is zero, so the last divisor is a
-    gcd.  Coefficients stay ints while each division by a leading
-    coefficient is exact, and become Fractions after that."""
-    while b:
-        quo, rem = dense_divmod(a, b, operator.sub, operator.mul, _rational_div)
-        yield quo, b, rem
-        a, b = b, rem
-
-
-def _rational_div(a, lc):
-    if type(a) is int and type(lc) is int and not a % lc:
-        return a // lc
-    return Fraction(a, lc)
-
-
 def poly_gcd(a: IntPolynomial, b: IntPolynomial) -> IntPolynomial:
     """Greatest common divisor over Z with positive leading coefficient: the
     last nonzero remainder of the primitive pseudo-remainder sequence,
@@ -412,9 +397,9 @@ def resultant(p: IntPolynomial, q: IntPolynomial) -> int:
     q~(y) = lc^e * q(y/lc) are integer polynomials, and the roots of p~ are
     lc times those of p.  So Res(p~, q~), the product of q~ over the roots
     of p~, is lc^(e(d-1)) * Res(p, q).  It is the determinant of
-    multiplication by r = q~ mod p~ on Z[y]/(p~), taken by Bareiss
-    elimination (Math. Comp. 22 (1968)), and the last step divides it
-    exactly by lc^(e(d-1))."""
+    multiplication by r = q~ mod p~ on Z[y]/(p~), the sign of the row
+    permutation times the last pivot of _gauss_jordan, and the last step
+    divides it exactly by lc^(e(d-1))."""
     if p.is_zero() or q.is_zero():
         raise ValueError("resultant of the zero polynomial is undefined")
     d, e, lc = p.degree, q.degree, p.leading()
@@ -427,26 +412,46 @@ def resultant(p: IntPolynomial, q: IntPolynomial) -> int:
         return 0
     # the rows are y^i * r mod p~ for i = 0 .. d-1
     rows = list(itertools.islice(shifted_rows(row + [0] * (d - len(row)), low), d))
-    return exact_quotient(_bareiss_det(rows), lc ** (e * (d - 1)))
+    pivots = _gauss_jordan(rows, d)
+    if pivots is None:
+        return 0
+    sign, last = pivots
+    return exact_quotient(sign * last, lc ** (e * (d - 1)))
 
 
-def _bareiss_det(rows: list[list[int]]) -> int:
-    """Determinant of a square integer matrix, given as a list of rows that
-    this consumes, by fraction-free elimination: every division is exact."""
-    n, sign, prev = len(rows), 1, 1
-    for k in range(n - 1):
-        if not rows[k][k]:
-            swap = next((i for i in range(k + 1, n) if rows[i][k]), None)
-            if swap is None:
-                return 0
-            rows[k], rows[swap] = rows[swap], rows[k]
+def _gauss_jordan(mat: list[list[int]], k: int) -> tuple[int, int] | None:
+    """Eliminate the first k columns of the integer matrix mat, a list of
+    rows, in place by fraction-free Gauss-Jordan elimination (Bareiss,
+    "Sylvester's identity and multistep integer-preserving Gaussian
+    elimination", Math. Comp. 22 (1968)); return the sign of the row
+    permutation and the last pivot, or None when a column has no pivot.
+
+    Column col pivots on its first nonzero entry from row col down, swapped
+    into row col.  The step with pivot p replaces every other row's entries
+    a from column col on by (p*a - f*b) / p_prev, with f the row's entry in
+    column col, b the pivot row's entry and p_prev the previous pivot (1 at
+    first).  By Sylvester's identity each such entry is a minor of mat, so
+    every division is exact, and exact_quotient checks it.  Each pivot is a
+    leading principal minor of the permuted rows, so for k = len(mat) the
+    sign times the last pivot is the determinant.  Entries left of column
+    col are never written again: there the pivot rows stand for the last
+    pivot on the diagonal and 0 elsewhere, the further rows for 0."""
+    sign, prev = 1, 1
+    for col in range(k):
+        piv = next((r for r in range(col, len(mat)) if mat[r][col]), None)
+        if piv is None:
+            return None
+        if piv != col:
+            mat[col], mat[piv] = mat[piv], mat[col]
             sign = -sign
-        pivot, head = rows[k][k], rows[k][k + 1 :]
-        for i in range(k + 1, n):
-            a = rows[i][k]
-            rows[i][k + 1 :] = [(x * pivot - a * y) // prev for x, y in zip(rows[i][k + 1 :], head)]
-        prev = pivot
-    return sign * rows[-1][-1]
+        head = mat[col][col:]
+        p = head[0]
+        for r, row in enumerate(mat):
+            if r != col:
+                f = row[col]
+                row[col:] = [exact_quotient(p * a - f * b, prev) for a, b in zip(row[col:], head)]
+        prev = p
+    return sign, prev
 
 
 def rational_solution(rows: Iterable[Sequence]) -> list[Fraction] | None:
@@ -456,43 +461,24 @@ def rational_solution(rows: Iterable[Sequence]) -> list[Fraction] | None:
     no x satisfies every row; raises ValueError when the k columns are
     linearly dependent, whether or not the system is consistent.
 
-    The elimination is fraction-free Gauss-Jordan over the integers
-    (Bareiss, "Sylvester's identity and multistep integer-preserving
-    Gaussian elimination", Math. Comp. 22 (1968)).  Each row is scaled by
-    the lcm of its denominators.  A step with pivot p replaces every other
-    row's entries a by (p*a - f*b) / p_prev, f being the row's entry in the
-    pivot column, b the pivot row's entry and p_prev the previous pivot.
-    By Sylvester's identity each such entry is a minor of the scaled
-    matrix, so every division is exact; exact_quotient checks it.  After
-    the last step each pivot row reads p_last * x_i = its last entry, which
-    gives one Fraction per unknown, and a further row is consistent when
-    its last entry is 0.  The pivots are the first nonzero entries, as in
-    elimination over the Fractions, so both find the same answer, None or
-    ValueError.
+    Each row is scaled by the lcm of its denominators, and _gauss_jordan
+    eliminates the k columns over the integers.  Then each pivot row reads
+    p_last * x_i = its last entry, which gives one Fraction per unknown,
+    and a further row is consistent when its last entry is 0.  The pivots
+    are the first nonzero entries, as in elimination over the Fractions,
+    so both find the same answer, None or ValueError.
     """
     mat = []
     for row in rows:
         den = math.lcm(*(v.denominator for v in row))
         mat.append([v.numerator * (den // v.denominator) for v in row])
     k = len(mat[0]) - 1
-    prev = 1
-    for col in range(k):
-        piv = next((r for r in range(col, len(mat)) if mat[r][col]), None)
-        if piv is None:
-            raise ValueError("linearly dependent columns: no unique solution")
-        mat[col], mat[piv] = mat[piv], mat[col]
-        head = mat[col][col:]
-        p = head[0]
-        # the entries left of col are no longer read: the pivot rows' are
-        # p on the diagonal and 0 elsewhere, the further rows' are all 0
-        for r, row in enumerate(mat):
-            if r != col:
-                f = row[col]
-                row[col:] = [exact_quotient(p * a - f * b, prev) for a, b in zip(row[col:], head)]
-        prev = p
+    pivots = _gauss_jordan(mat, k)
+    if pivots is None:
+        raise ValueError("linearly dependent columns: no unique solution")
     if any(row[k] for row in mat[k:]):
         return None
-    return [Fraction(row[k], prev) for row in mat[:k]]
+    return [Fraction(row[k], pivots[1]) for row in mat[:k]]
 
 
 def root_power_transform(w: IntPolynomial, m: int) -> IntPolynomial:

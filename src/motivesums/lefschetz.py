@@ -25,8 +25,8 @@ import operator
 from fractions import Fraction
 from typing import Iterable, Union
 
-from .exactalg import BudgetError, cyclotomic, dense_divmod, dense_mul, exact_quotient, factorize, monic_head
-from .exactalg import power_by_squaring, remainder_sequence, shifted_rows
+from .exactalg import BudgetError, InvariantError, cyclotomic, dense_divmod, dense_mul, exact_quotient, factorize
+from .exactalg import monic_head, power_by_squaring, rational_solution, shifted_rows
 
 RationalLike = Union[int, Fraction]
 
@@ -71,8 +71,9 @@ class CyclotomicRational:
     power basis 1, zeta, ..., zeta^(phi(n)-1), reduced modulo the n-th
     cyclotomic polynomial, and den > 0 is one common denominator with
     gcd(den, *num) == 1.  The pair is unique, so at a common conductor
-    equality is tuple equality.  Only inverse leaves the integers, for its
-    Euclid over Q."""
+    equality is tuple equality.  The field operations run in integers:
+    inverse is one fraction-free rational_solution, which forms a Fraction
+    per coordinate only at its end."""
 
     conductor: int
     num: tuple[int, ...]
@@ -171,18 +172,17 @@ class CyclotomicRational:
         return power_by_squaring(self, n, operator.mul, CyclotomicRational.from_rational(1))
 
     def inverse(self) -> "CyclotomicRational":
+        """1 / self, the s with num * s = den modulo Phi_n: one rational
+        solve whose columns are num * zeta^j, j < phi(n), the columns of
+        multiplication by num."""
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero")
-        # Euclid on (num, Phi_n) carrying the cofactors of num: after each
-        # step s * num = the step's divisor modulo Phi_n
-        s, t = [1], []
-        for quo, g, _ in remainder_sequence(self.num, cyclotomic(self.conductor).coeffs):
-            qt = dense_mul(quo, t, operator.add, operator.mul)
-            s, t = t, [x - y for x, y in itertools.zip_longest(s, qt, fillvalue=0)]
-        if len(g) != 1:
-            raise ArithmeticError("element is a zero divisor; cyclotomic modulus not coprime")
-        # (num/den)^-1 = den * s / g
-        s = [Fraction(c * self.den) / g[0] for c in s]
+        cols = shifted_rows(self.num, cyclotomic(self.conductor).coeffs[:-1])
+        rows = zip(*itertools.islice(cols, len(self.num)), [self.den] + [0] * (len(self.num) - 1))
+        try:
+            s = rational_solution(rows)
+        except ValueError as exc:
+            raise InvariantError(f"multiplication by {self} is singular modulo Phi_{self.conductor}") from exc
         den = math.lcm(*(c.denominator for c in s))
         return CyclotomicRational(self.conductor, [int(c * den) for c in s], den)
 

@@ -19,6 +19,7 @@ from motivesums.classtypes import (
     table_goldens,
 )
 from motivesums.exactalg import SymbolicPolynomial
+from motivesums.motives import motive_of
 
 
 def test_moebius_small():
@@ -70,6 +71,22 @@ def test_sl_centralizer_det_single_block():
     det = sl_centralizer_motive(t).frobenius_det()
     assert det.substitute({"t": 1, "q": 3}).evaluate({}) == 2
     assert det.substitute({"t": 1, "q": 5}).evaluate({}) == 2
+
+
+def test_centralizer_motives_match_their_group_descriptions():
+    # the motives of the nested descriptions that motive_of parses, over the
+    # types that class sums and certificates meet
+    for n in range(1, 7):
+        for t in enumerate_sl_types(n):
+            spec = {"Product": [{"Res": [d, {"GL": a}]} for d, a in t.pairs]}
+            assert sl_centralizer_motive(t) == motive_of(spec).quotient_trivial(), t
+    for n in (1, 2, 3):
+        for q_even in (False, True):
+            for t in enumerate_sp_types(n, q_even=q_even):
+                specs = [{"Sp": 2 * a} for a in (t.a_plus, t.a_minus) if a]
+                specs += [{"Res": [d, {"U": b}]} for d, b in t.unitary_pairs]
+                specs += [{"Res": [e, {"GL": c}]} for e, c in t.gl_pairs]
+                assert sp_centralizer_motive(t) == motive_of({"Product": specs}), t
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])

@@ -380,20 +380,20 @@ def test_poly_gcd_divides_and_leaves_coprime_cofactors(a, b, c):
 
 
 def euclid_gcd(a: IntPolynomial, b: IntPolynomial) -> IntPolynomial:
-    """The reference gcd: the last divisor of Euclid's remainder sequence
+    """The reference gcd: the last nonzero remainder of Euclid's algorithm
     over the rationals, made primitive with a positive leading coefficient,
     times the gcd of the contents (the primitive part alone when one
     argument is zero)."""
-    g = a.coeffs
-    for _, g, _ in exactalg.remainder_sequence(a.coeffs, b.coeffs):
-        pass
-    if not g:
+    f, g = [Fraction(c) for c in a.coeffs], [Fraction(c) for c in b.coeffs]
+    while g:
+        f, g = g, exactalg.dense_divmod(f, g, operator.sub, operator.mul, operator.truediv)[1]
+    if not f:
         return IntPolynomial()
-    den = math.lcm(*(c.denominator for c in g))
-    g = [int(c * den) for c in g]
-    unit = math.gcd(*g) if g[-1] > 0 else -math.gcd(*g)
+    den = math.lcm(*(c.denominator for c in f))
+    f = [int(c * den) for c in f]
+    unit = math.gcd(*f) if f[-1] > 0 else -math.gcd(*f)
     scale = math.gcd(a.content(), b.content()) if a.coeffs and b.coeffs else 1
-    return IntPolynomial(c // unit * scale for c in g)
+    return IntPolynomial(c // unit * scale for c in f)
 
 
 @given(small_poly, small_poly, small_poly, st.integers(-3, 3))
@@ -415,6 +415,9 @@ def test_resultant_known_values():
     assert resultant(IntPolynomial((1, 1, 1)), IntPolynomial((3,))) == 9
     assert resultant(IntPolynomial((-3, 1)), IntPolynomial((-2,))) == -2
     assert resultant(IntPolynomial((5,)), IntPolynomial((7,))) == 1
+    # Res(y^2 - 2, y) = sqrt(2) * -sqrt(2): r = y has no constant term, so
+    # the elimination swaps its two rows, and the swap gives the sign
+    assert resultant(IntPolynomial((-2, 0, 1)), IntPolynomial((0, 1))) == -2
 
 
 @given(nonzero_poly, nonzero_poly)

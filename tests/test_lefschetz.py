@@ -14,7 +14,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from motivesums.exactalg import BudgetError, cyclotomic, dense_divmod, dense_mul, power_by_squaring
+from motivesums import lefschetz
+from motivesums.exactalg import BudgetError, IntPolynomial, InvariantError, cyclotomic, dense_divmod, dense_mul
+from motivesums.exactalg import power_by_squaring
 from motivesums.lefschetz import (
     CyclotomicRational,
     LefschetzFunction,
@@ -290,6 +292,16 @@ def test_inverse_is_a_two_sided_inverse(n, coords):
             x.inverse()
     else:
         assert x * x.inverse() == 1 and x.inverse() * x == 1
+
+
+def test_a_singular_multiplication_matrix_is_an_invariant_error(monkeypatch):
+    # modulo y^2 - 1 = (y - 1)(y + 1) instead of Phi_4, 1 + y is a zero
+    # divisor: a broken invariant, never malformed input (a ValueError)
+    x = cyc(4, [1, 1])
+    monkeypatch.setattr(lefschetz, "cyclotomic", lambda n: IntPolynomial((-1, 0, 1)))
+    with pytest.raises(InvariantError, match="singular") as info:
+        x.inverse()
+    assert not isinstance(info.value, ValueError)
 
 
 # ---------------------------------------------------------------------------

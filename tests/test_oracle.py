@@ -102,6 +102,14 @@ def ref_element(field, ds):
     return sum(d % field.p * field.p**i for i, d in enumerate(ds))
 
 
+def ref_add(field, a, b):
+    return ref_element(field, [x + y for x, y in zip(ref_digits(field, a), ref_digits(field, b))])
+
+
+def ref_neg(field, a):
+    return ref_element(field, [-x for x in ref_digits(field, a)])
+
+
 def ref_sub(field, a, b):
     return ref_element(field, [x - y for x, y in zip(ref_digits(field, a), ref_digits(field, b))])
 
@@ -149,7 +157,14 @@ def test_field_arithmetic_matches_its_definition(data):
     element = st.integers(0, field.q - 1)
     a, b, c = data.draw(element, label="a"), data.draw(element, label="b"), data.draw(element, label="c")
     assert field.mul(a, b) == ref_mul(field, a, b)
+    assert field.add(a, b) == ref_add(field, a, b)
+    assert field.neg(a) == ref_neg(field, a)
     assert field.sub(a, b) == ref_sub(field, a, b)
+    if a:
+        assert field.mul(a, field.inv(a)) == 1
+    else:
+        with pytest.raises(ZeroDivisionError):
+            field.inv(a)
     assert field.mul(a, field.add(b, c)) == field.add(field.mul(a, b), field.mul(a, c))
     assert field.mul(field.mul(a, b), c) == field.mul(a, field.mul(b, c))
     assert field.power(a, field.q) == a
@@ -269,6 +284,12 @@ def test_budget_errors():
         irreducible_monics(F9, 9)
     with pytest.raises(BudgetError):
         sp_census(9, F9)
+
+
+def test_census_budget_counts_trial_divisions_not_polynomials():
+    # 4,096 palindromes of degree 6 are few, their trial divisions are not
+    with pytest.raises(BudgetError, match="trial divisions"):
+        oracle._check_work(FiniteField(2, 4), 4096, 6)
 
 
 def test_census_budget_bounds_trial_divisions():

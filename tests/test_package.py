@@ -2,12 +2,17 @@
 import ast
 import doctest
 import importlib
+import json
 import os
 import pathlib
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
+
+from motivesums import classsums, classtypes, curves
+from motivesums.exactalg import IntPolynomial, InvariantError
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 SOURCES = sorted((ROOT / "src" / "motivesums").glob("*.py"))
@@ -154,3 +159,53 @@ def test_benchmark_tracer_resolves_every_wrapped_name():
     run = subprocess.run([sys.executable, "-B", "-c", code], capture_output=True, text=True, cwd=ROOT)
     assert (run.returncode, run.stderr) == (0, "")
     assert run.stdout.splitlines() == [str(ROOT / "src" / "motivesums" / "__init__.py"), "[]", "[]"]
+
+
+# each invariant check: what breaks it (a module, a name in it and its
+# replacement), or None when a plain input does, and the call that must raise
+_BROKEN_INVARIANTS = {
+    "count-not-polynomial": (
+        None,
+        lambda: classsums._count_polynomial(tuple(Fraction(x**5) for x in classsums._COUNT_POINTS)),
+    ),
+    "negative-sl-count": ((classtypes, "exact_quotient", lambda a, b: -1), lambda: classtypes.count_sl(2, 1, 3)),
+    "negative-sp-count": (
+        (classtypes, "exact_quotient", lambda a, b: -1),
+        lambda: classtypes.count_sp(classtypes.SpType(1), 3),
+    ),
+    "charpoly-normalization": (
+        (curves, "root_power_transform", lambda w, m: IntPolynomial((1, 2))),
+        lambda: curves.charpoly_of_power.__wrapped__(IntPolynomial((1, -1)), 2),
+    ),
+}
+
+
+@pytest.mark.parametrize("label", sorted(_BROKEN_INVARIANTS))
+def test_a_broken_invariant_raises_invariant_error(label, monkeypatch):
+    # python -O keeps these checks, and existing ArithmeticError handlers
+    # still catch them
+    patch, call = _BROKEN_INVARIANTS[label]
+    if patch:
+        monkeypatch.setattr(*patch)
+    with pytest.raises(InvariantError):
+        call()
+    assert issubclass(InvariantError, ArithmeticError)
+
+
+def test_every_mutant_applies_once_and_names_existing_tests():
+    # tests/run_mutants.py applies each mutant to a copy of src/ and runs its
+    # named tests; a change that rewrites a mutated text or renames a named
+    # test must update tests/mutants.json with it
+    mutants = json.loads((ROOT / "tests" / "mutants.json").read_text(encoding="utf-8"))
+    assert mutants and len({m["name"] for m in mutants}) == len(mutants)
+    defined: dict[str, set[str]] = {}
+    for m in mutants:
+        assert m["module"].startswith("src/motivesums/"), m["name"]
+        assert (ROOT / m["module"]).read_text(encoding="utf-8").count(m["old"]) == 1, m["name"]
+        assert m["new"] != m["old"] and m["tests"] and m["source"], m["name"]
+        for node in m["tests"]:
+            path, _, name = node.partition("::")
+            if path not in defined:
+                tree = ast.parse((ROOT / path).read_text(encoding="utf-8"))
+                defined[path] = {f.name for f in tree.body if isinstance(f, ast.FunctionDef)}
+            assert name in defined[path], node
