@@ -427,15 +427,18 @@ def _gauss_jordan(mat: list[list[int]], k: int) -> tuple[int, int] | None:
     permutation and the last pivot, or None when a column has no pivot.
 
     Column col pivots on its first nonzero entry from row col down, swapped
-    into row col.  The step with pivot p replaces every other row's entries
-    a from column col on by (p*a - f*b) / p_prev, with f the row's entry in
-    column col, b the pivot row's entry and p_prev the previous pivot (1 at
-    first).  By Sylvester's identity each such entry is a minor of mat, so
-    every division is exact, and exact_quotient checks it.  Each pivot is a
-    leading principal minor of the permuted rows, so for k = len(mat) the
-    sign times the last pivot is the determinant.  Entries left of column
-    col are never written again: there the pivot rows stand for the last
-    pivot on the diagonal and 0 elsewhere, the further rows for 0."""
+    into row col.  The step with pivot p replaces the entries a from column
+    col on of every row below it by (p*a - f*b) / p_prev, with f the row's
+    entry in column col, b the pivot row's entry and p_prev the previous
+    pivot (1 at first).  By Sylvester's identity each such entry is a minor
+    of mat, so every division is exact, and exact_quotient checks it.  Each
+    pivot is a leading principal minor of the permuted rows, so for
+    k = len(mat) the sign times the last pivot is the determinant.  Only
+    when mat has columns past the k-th, a right-hand side, does the step
+    replace the rows above the pivot too: without them only the pivots are
+    read.  With them, entries left of column col are never written again:
+    there the pivot rows stand for the last pivot on the diagonal and 0
+    elsewhere, the further rows for 0."""
     sign, prev = 1, 1
     for col in range(k):
         piv = next((r for r in range(col, len(mat)) if mat[r][col]), None)
@@ -446,10 +449,10 @@ def _gauss_jordan(mat: list[list[int]], k: int) -> tuple[int, int] | None:
             sign = -sign
         head = mat[col][col:]
         p = head[0]
-        for r, row in enumerate(mat):
-            if r != col:
-                f = row[col]
-                row[col:] = [exact_quotient(p * a - f * b, prev) for a, b in zip(row[col:], head)]
+        above = mat[:col] if len(mat[col]) > k else []
+        for row in above + mat[col + 1:]:
+            f = row[col]
+            row[col:] = [exact_quotient(p * a - f * b, prev) for a, b in zip(row[col:], head)]
         prev = p
     return sign, prev
 

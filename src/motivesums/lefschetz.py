@@ -13,7 +13,8 @@ common denominator, so sums and products run in integer arithmetic and
 equality, inverses and coordinate-wise integer divisibility are decidable.
 Evaluating a function at m puts each term's c * r^m on the root
 e^(2 pi i a m) and reduces modulo Phi_N once; an N whose reduction would
-take more than REDUCTION_BUDGET steps raises BudgetError before any work.
+take more than REDUCTION_BUDGET steps raises BudgetError before any work,
+and so does an inverse whose elimination would.
 """
 from __future__ import annotations
 
@@ -30,7 +31,8 @@ from .exactalg import monic_head, power_by_squaring, rational_solution, shifted_
 
 RationalLike = Union[int, Fraction]
 
-# division steps allowed for one reduction modulo a cyclotomic polynomial
+# division steps allowed for one reduction modulo a cyclotomic polynomial,
+# and for the elimination of one inverse
 REDUCTION_BUDGET = 10**6
 
 
@@ -174,17 +176,22 @@ class CyclotomicRational:
     def inverse(self) -> "CyclotomicRational":
         """1 / self, the s with num * s = den modulo Phi_n: one rational
         solve whose columns are num * zeta^j, j < phi(n), the columns of
-        multiplication by num."""
+        multiplication by num.  Its elimination takes about phi(n)^3
+        division steps, whatever num is, so BudgetError is raised before
+        any work when that is over REDUCTION_BUDGET."""
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero")
-        cols = shifted_rows(self.num, cyclotomic(self.conductor).coeffs[:-1])
+        n = self.conductor
+        if len(self.num) ** 3 > REDUCTION_BUDGET:
+            raise BudgetError(f"index {n}: one inverse modulo Phi_{n} exceeds {REDUCTION_BUDGET} steps")
+        cols = shifted_rows(self.num, cyclotomic(n).coeffs[:-1])
         rows = zip(*itertools.islice(cols, len(self.num)), [self.den] + [0] * (len(self.num) - 1))
         try:
             s = rational_solution(rows)
         except ValueError as exc:
-            raise InvariantError(f"multiplication by {self} is singular modulo Phi_{self.conductor}") from exc
+            raise InvariantError(f"multiplication by {self} is singular modulo Phi_{n}") from exc
         den = math.lcm(*(c.denominator for c in s))
-        return CyclotomicRational(self.conductor, [int(c * den) for c in s], den)
+        return CyclotomicRational(n, [int(c * den) for c in s], den)
 
     def __truediv__(self, other) -> "CyclotomicRational":
         return self * self._coerce(other).inverse()

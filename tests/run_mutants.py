@@ -11,8 +11,7 @@ goes to stdout, progress to stderr.  The exit code is 1 when the unmutated
 copy fails, a mutant survives, does not apply, errs or times out, or the
 whole run passes its cap.
 
-    python tests/run_mutants.py            # every mutant
-    python tests/run_mutants.py NAME ...   # the named mutants only
+    python tests/run_mutants.py
 """
 import json
 import os
@@ -55,17 +54,13 @@ def run(mutant: dict | None, tests: list[str], cap: float) -> str:
     return {0: "passed", 1: "failed"}.get(done.returncode, f"error: pytest exit code {done.returncode}")
 
 
-def main(names: list[str]) -> int:
+def main() -> int:
     mutants = json.loads((ROOT / "tests" / "mutants.json").read_text(encoding="utf-8"))
-    unknown = set(names) - {m["name"] for m in mutants}
-    if unknown:
-        sys.exit(f"unknown mutants: {sorted(unknown)}")
-    chosen = [m for m in mutants if not names or m["name"] in names]
     print("### Mutation suite (`tests/mutants.json`)")
     print("| mutant | module | outcome | seconds |")
     print("| --- | --- | --- | --- |")
     start = time.perf_counter()
-    runs = [(None, sorted({t for m in chosen for t in m["tests"]}))] + [(m, m["tests"]) for m in chosen]
+    runs = [(None, sorted({t for m in mutants for t in m["tests"]}))] + [(m, m["tests"]) for m in mutants]
     bad = 0
     for mutant, tests in runs:
         name, module = (mutant["name"], mutant["module"]) if mutant else ("(unmutated)", "src/")
@@ -78,9 +73,9 @@ def main(names: list[str]) -> int:
         bad += outcome not in ("killed", "passed")
         print(f"| `{name}` | `{module}` | {outcome} | {seconds:.1f} |", flush=True)
         print(f"{name}: {outcome} in {seconds:.1f} s", file=sys.stderr, flush=True)
-    print(f"\n{len(chosen)} mutants; {bad} runs not as expected; {time.perf_counter() - start:.1f} s")
+    print(f"\n{len(mutants)} mutants; {bad} runs not as expected; {time.perf_counter() - start:.1f} s")
     return 1 if bad else 0
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())

@@ -559,6 +559,8 @@ def test_rational_solution_matches_the_fraction_elimination(rows):
 def test_rational_solution_small_cases():
     assert rational_solution([[2, 1], [4, 2]]) == [Fraction(1, 2)]
     assert rational_solution([[2, 1], [4, 3]]) is None
+    # x + y = 3, y = 1: the first row is read only once y is cleared from it
+    assert rational_solution([[1, 1, 3], [0, 1, 1]]) == [2, 1]
     assert rational_solution([[0], [0]]) == [] and rational_solution([[0], [1]]) is None
     with pytest.raises(ValueError):
         rational_solution([[1, 0, 1], [2, 0, 2]])  # a zero column

@@ -8,12 +8,17 @@ defining pointwise formula f(lcm(N, m))^gcd(N, m), evaluated exactly.
 import dataclasses
 import math
 import operator
+import os
+import pathlib
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import motivesums
 from motivesums import lefschetz
 from motivesums.exactalg import BudgetError, IntPolynomial, InvariantError, cyclotomic, dense_divmod, dense_mul
 from motivesums.exactalg import power_by_squaring
@@ -302,6 +307,32 @@ def test_a_singular_multiplication_matrix_is_an_invariant_error(monkeypatch):
     with pytest.raises(InvariantError, match="singular") as info:
         x.inverse()
     assert not isinstance(info.value, ValueError)
+
+
+def test_an_inverse_past_the_budget_is_refused_at_once():
+    # the elimination of an inverse takes about phi(n)^3 division steps,
+    # whatever the element: phi(101)^3 = 10^6 is inside the budget,
+    # phi(103)^3 is not
+    assert zeta(101).inverse() == zeta(101, 100)
+    with pytest.raises(BudgetError, match="^index 103: one inverse modulo Phi_103 exceeds 1000000 steps$"):
+        zeta(103).inverse()
+    # at conductor 1009 the elimination would take about 10^9 steps, by
+    # inverse, a negative power or a quotient alike; a child process, so
+    # that an unbounded elimination fails by the timeout
+    code = "\n".join([
+        "from motivesums.exactalg import BudgetError",
+        "from motivesums.lefschetz import CyclotomicRational",
+        "z = CyclotomicRational.root_of_unity(1009)",
+        "for f in (z.inverse, lambda: z ** -1, lambda: z / (1 + z)):",
+        "    try:",
+        "        f()",
+        "    except BudgetError as exc:",
+        "        print(exc)",
+    ])
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(motivesums.__file__).parents[1]))
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=20)
+    assert (run.returncode, run.stderr) == (0, "")
+    assert run.stdout == "index 1009: one inverse modulo Phi_1009 exceeds 1000000 steps\n" * 3
 
 
 # ---------------------------------------------------------------------------

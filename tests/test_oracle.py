@@ -286,17 +286,14 @@ def test_budget_errors():
         sp_census(9, F9)
 
 
-def test_census_budget_counts_trial_divisions_not_polynomials():
-    # 4,096 palindromes of degree 6 are few, their trial divisions are not
-    with pytest.raises(BudgetError, match="trial divisions"):
-        oracle._check_work(FiniteField(2, 4), 4096, 6)
-
-
 def test_census_budget_bounds_trial_divisions():
-    # 4,096 palindromes of degree 6, each trial-divided by up to
-    # 16 + 120 + 1,360 irreducibles: 6.1 million divisions, which took
-    # 121 s when the budget counted palindromes only
+    # 4,096 palindromes of degree 6 are few, their trial divisions are not:
+    # each is trial-divided by up to 16 + 120 + 1,360 irreducibles, 6.1
+    # million divisions, which took 121 s when the budget counted
+    # palindromes only
     field = FiniteField(2, 4)
+    with pytest.raises(BudgetError, match="trial divisions"):
+        oracle._check_work(field, 4096, 6)
     start = time.perf_counter()
     with pytest.raises(BudgetError, match="trial divisions"):
         sp_census(3, field)
